@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .conformance import check_conformance, load_terminals_file
 from .evaluate import evaluate, report_table
-from .extract import extract_config
+from .extract import ExtractionError, extract_config
 from .llm import (
     BackendError,
     HttpBackend,
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except TransformError as err:
+    except (TransformError, ExtractionError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -24,7 +24,7 @@ from .model import (
     walk,
 )
 from .parsing import rule_signature, token_distance
-from .transform import OpKind
+from .transform import OpKind, _is_word
 
 
 class RuleStatus(Enum):
@@ -198,10 +198,6 @@ def compute_similarity(candidate: Grammar, target: Grammar) -> tuple[int, int, f
 # ---------------------------------------------------------------------------
 
 
-def _word(text: str) -> bool:
-    return bool(text) and (text[0].isalpha() or text[0] == "_")
-
-
 def _rule_facts(rule: ParserRule):
     keywords: list[str] = []
     features: list[str] = []
@@ -238,12 +234,12 @@ def _signature_scan(a: ParserRule, b: ParserRule) -> set[AdaptationType]:
     types: set[AdaptationType] = set()
     if braces_a != braces_b or cards_a != cards_b:
         types.add(AdaptationType.BRACE_OPTIONALITY_REMOVAL)
-    removed_words = [t for t in kw_a if _word(t) and kw_a.count(t) > kw_b.count(t)]
-    added_words = [t for t in kw_b if _word(t) and kw_b.count(t) > kw_a.count(t)]
+    removed_words = [t for t in kw_a if _is_word(t) and kw_a.count(t) > kw_b.count(t)]
+    added_words = [t for t in kw_b if _is_word(t) and kw_b.count(t) > kw_a.count(t)]
     if removed_words or added_words:
         types.add(AdaptationType.KEYWORD_REMOVAL)
-    removed_punct = [t for t in kw_a if not _word(t) and kw_a.count(t) > kw_b.count(t)]
-    added_punct = [t for t in kw_b if not _word(t) and kw_b.count(t) > kw_a.count(t)]
+    removed_punct = [t for t in kw_a if not _is_word(t) and kw_a.count(t) > kw_b.count(t)]
+    added_punct = [t for t in kw_b if not _is_word(t) and kw_b.count(t) > kw_a.count(t)]
     if removed_punct or added_punct:
         types.add(AdaptationType.SEPARATOR_MODIFICATION)
     ordered_a = list(dict.fromkeys(feat_a))

@@ -10,7 +10,7 @@ round trip is an identity by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     Assignment,
@@ -55,7 +55,6 @@ class RulePairing:
 class ExtractionResult:
     config: TransformationConfig
     fallback_count: int
-    per_rule_ops: dict[str, list[TransformOp]] = field(default_factory=dict)
 
 
 def pair_rules(g1: Grammar, g1prime: Grammar) -> RulePairing:
@@ -383,21 +382,19 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
     REPLACE_RULE entry so the replay identity holds for deletions too.
     """
     pairing = pair_rules(g1, g1prime)
+    src_rules = {r.name: r for r in g1.rules}
+    dst_rules = {r.name: r for r in g1prime.rules}
     entries: list[TransformOp] = []
-    per_rule: dict[str, list[TransformOp]] = {}
     fallback_count = 0
     for rule_name in pairing.pairs:
-        src = next(r for r in g1.rules if r.name == rule_name)
-        dst = next(r for r in g1prime.rules if r.name == rule_name)
-        ops, fell_back = infer_rule_ops(src, dst)
+        ops, fell_back = infer_rule_ops(src_rules[rule_name], dst_rules[rule_name])
         if fell_back:
             fallback_count += 1
-        per_rule[rule_name] = ops
         entries.extend(ops)
     for rule_name in pairing.unmatched_left:
-        op = TransformOp(OpKind.REPLACE_RULE, rule_scope(rule_name), {"remove": True})
-        entries.append(op)
-        per_rule[rule_name] = [op]
+        entries.append(
+            TransformOp(OpKind.REPLACE_RULE, rule_scope(rule_name), {"remove": True})
+        )
         fallback_count += 1
 
     provenance = (
@@ -407,9 +404,7 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
     )
     config = TransformationConfig(entries=tuple(entries), provenance=provenance)
     _verify_round_trip(config, g1, g1prime)
-    return ExtractionResult(
-        config=config, fallback_count=fallback_count, per_rule_ops=per_rule
-    )
+    return ExtractionResult(config=config, fallback_count=fallback_count)
 
 
 def _verify_round_trip(
@@ -417,6 +412,7 @@ def _verify_round_trip(
 ) -> None:
     replayed, _ = apply_config(config, g1)
     replayed_rules = {r.name: r for r in replayed.rules}
+    target_names = {r.name for r in g1prime.rules}
     for rule in g1prime.rules:
         got = replayed_rules.get(rule.name)
         if got is None:
@@ -426,7 +422,7 @@ def _verify_round_trip(
                 f"extracted config does not replay rule {rule.name!r}"
             )
     for rule in replayed.rules:
-        if rule.name not in {r.name for r in g1prime.rules}:
+        if rule.name not in target_names:
             raise ExtractionError(
                 f"extracted config leaves stale rule {rule.name!r} behind"
             )

@@ -40,35 +40,16 @@ FOLLOW_UP_TEXT = (
     "Please fix only these issues and output the full corrected grammar."
 )
 
+PROMPT_1_TEMPLATE = (
+    PROMPT_1_TEXT + "\n\nGenerated grammar:\n{G1}\n\nTarget grammar:\n{G1_PRIME}"
+)
+PROMPT_2_TEMPLATE = PROMPT_2_TEXT + "\n\n{G2}"
+
 MAX_FOLLOW_UPS = 3
 
 #: Rough token estimate (4 chars per token) above which a session is flagged;
 #: web frontends have been observed truncating large grammar uploads.
 DEFAULT_TOKEN_BUDGET = 100_000
-
-
-class PromptId(Enum):
-    PROMPT_1 = "PROMPT_1"
-    PROMPT_2 = "PROMPT_2"
-    FOLLOW_UP = "FOLLOW_UP"
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    id: PromptId
-    text: str
-
-
-PROMPT_TEMPLATES = {
-    PromptId.PROMPT_1: PromptTemplate(
-        PromptId.PROMPT_1,
-        PROMPT_1_TEXT + "\n\nGenerated grammar:\n{G1}\n\nTarget grammar:\n{G1_PRIME}",
-    ),
-    PromptId.PROMPT_2: PromptTemplate(
-        PromptId.PROMPT_2, PROMPT_2_TEXT + "\n\n{G2}"
-    ),
-    PromptId.FOLLOW_UP: PromptTemplate(PromptId.FOLLOW_UP, FOLLOW_UP_TEXT),
-}
 
 
 class Outcome(Enum):
@@ -233,18 +214,17 @@ def _estimate_tokens(text: str) -> int:
 
 
 def render_prompt_1(g1_text: str, g1prime_text: str) -> str:
-    template = PROMPT_TEMPLATES[PromptId.PROMPT_1].text
-    return template.replace("{G1}", g1_text).replace("{G1_PRIME}", g1prime_text)
+    return PROMPT_1_TEMPLATE.replace("{G1}", g1_text).replace(
+        "{G1_PRIME}", g1prime_text
+    )
 
 
 def render_prompt_2(g2_text: str) -> str:
-    return PROMPT_TEMPLATES[PromptId.PROMPT_2].text.replace("{G2}", g2_text)
+    return PROMPT_2_TEMPLATE.replace("{G2}", g2_text)
 
 
 def render_follow_up(issues: list[str]) -> str:
-    return PROMPT_TEMPLATES[PromptId.FOLLOW_UP].text.replace(
-        "{ISSUES}", "; ".join(issues)
-    )
+    return FOLLOW_UP_TEXT.replace("{ISSUES}", "; ".join(issues))
 
 
 def run_adaptation(

@@ -41,7 +41,6 @@ _INDENT = "    "
 
 class Severity(Enum):
     ERROR = "ERROR"
-    WARNING = "WARNING"
 
 
 @dataclass(frozen=True)
@@ -535,8 +534,7 @@ def parse_grammar(source_text: str) -> Grammar | list[ParseDiagnostic]:
         return [ParseDiagnostic(err.span, Severity.ERROR, str(err))]
     parser = _Parser(tokens, diagnostics)
     rules, terminals = parser.parse_grammar_items()
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
+    if diagnostics:
         return diagnostics
     return Grammar(
         name=_grammar_name_from_header(header),
@@ -564,8 +562,7 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
         diagnostics.append(
             ParseDiagnostic(tok.span, Severity.ERROR, f"trailing input {tok.text!r} after body")
         )
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    return diagnostics if errors else body
+    return diagnostics or body
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +691,19 @@ def print_rule(rule: ParserRule) -> str:
     return "\n".join([head] + lines)
 
 
+def _print_terminal(term: TerminalDecl) -> str:
+    if term.body_text:
+        return f"terminal {term.name}: {term.body_text};"
+    return f"terminal {term.name};"
+
+
 def print_grammar(grammar: Grammar) -> str:
     """Deterministic text for a grammar; re-parses structurally equal."""
     blocks: list[str] = []
     if grammar.header_text:
         blocks.append(grammar.header_text)
     blocks.extend(print_rule(rule) for rule in grammar.rules)
-    for term in grammar.declared_terminals:
-        if term.body_text:
-            blocks.append(f"terminal {term.name}: {term.body_text};")
-        else:
-            blocks.append(f"terminal {term.name};")
+    blocks.extend(_print_terminal(term) for term in grammar.declared_terminals)
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
@@ -715,18 +714,11 @@ def rule_signature(rule: ParserRule) -> list[str]:
     return normalized_tokens(print_rule(rule))
 
 
-def rules_token_equal(a: ParserRule, b: ParserRule) -> bool:
-    return rule_signature(a) == rule_signature(b)
-
-
 def grammar_body_tokens(grammar: Grammar) -> list[str]:
     """Comparison tokens of all rules and terminals, header excluded."""
     tokens: list[str] = []
     for rule in grammar.rules:
         tokens.extend(rule_signature(rule))
     for term in grammar.declared_terminals:
-        if term.body_text:
-            tokens.extend(normalized_tokens(f"terminal {term.name}: {term.body_text};"))
-        else:
-            tokens.extend(normalized_tokens(f"terminal {term.name};"))
+        tokens.extend(normalized_tokens(_print_terminal(term)))
     return tokens

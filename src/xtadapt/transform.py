@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Iterable, Mapping
 
 from .model import (
@@ -26,7 +27,6 @@ from .model import (
     RuleCall,
     assignments_of,
     children_of,
-    find_rule,
     grammar_problems,
     node_at,
     walk,
@@ -138,7 +138,6 @@ class TransformationConfig:
 class OpOutcome:
     op: TransformOp
     matched: int
-    rules_affected: tuple[str, ...]
 
     @property
     def no_match(self) -> bool:
@@ -161,13 +160,6 @@ class ApplyReport:
 # ---------------------------------------------------------------------------
 # Scope resolution
 # ---------------------------------------------------------------------------
-
-
-def _scoped_rules(grammar: Grammar, scope: Scope) -> list[ParserRule]:
-    if scope.kind is ScopeKind.GRAMMAR:
-        return list(grammar.rules)
-    rule = find_rule(grammar, scope.rule or "")
-    return [rule] if rule is not None else []
 
 
 def attribute_anchors(rule: ParserRule, feature: str) -> list[Path]:
@@ -325,11 +317,6 @@ def _matching_brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | 
     return None
 
 
-def _set_rule(grammar: Grammar, rule: ParserRule) -> Grammar:
-    rules = tuple(rule if r.name == rule.name else r for r in grammar.rules)
-    return replace(grammar, rules=rules)
-
-
 # ---------------------------------------------------------------------------
 # Operation semantics
 # ---------------------------------------------------------------------------
@@ -366,14 +353,8 @@ def _apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
     feature = op.scope.feature
 
     def removable(kw: Keyword, path: Path) -> bool:
-        if not _path_within(path, anchors):
-            # A bare-assignment anchor also covers the keyword sibling
-            # immediately before it (generated keyword-per-attribute idiom).
-            if not any(
-                len(a) == len(path) and a[:-1] == path[:-1] and a[-1] == path[-1] + 1
-                for a in anchors
-            ):
-                return False
+        if not (_path_within(path, anchors) or _sibling_of_anchor(path, anchors)):
+            return False
         if text == ANY_KEYWORD:
             owner = kw_features.get(path)
             if op.scope.kind is ScopeKind.ATTRIBUTE:
@@ -418,6 +399,8 @@ def _apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
 
 
 def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
+    """A bare-assignment anchor also covers the keyword sibling immediately
+    before it (generated keyword-per-attribute idiom)."""
     return any(
         len(a) == len(path) and a[:-1] == path[:-1] and a[-1] == path[-1] + 1
         for a in anchors
@@ -619,17 +602,11 @@ def _apply_make_braces_optional(rule: ParserRule, op: TransformOp) -> tuple[Pars
     return replace(rule, body=replace(body, children=new_children)), 1
 
 
-def _apply_replace_rule(grammar: Grammar, op: TransformOp) -> tuple[Grammar, int]:
-    if op.scope.kind is not ScopeKind.RULE or not op.scope.rule:
-        raise TransformError(f"{op.describe()}: REPLACE_RULE requires a RULE scope")
-    rule = find_rule(grammar, op.scope.rule)
+def _apply_replace_rule(
+    rule: ParserRule, op: TransformOp
+) -> tuple[ParserRule | None, int]:
     if op.param("remove"):
-        if rule is None:
-            return grammar, 0
-        rules = tuple(r for r in grammar.rules if r.name != op.scope.rule)
-        return replace(grammar, rules=rules), 1
-    if rule is None:
-        return grammar, 0
+        return None, 1
     body_text = op.param("body")
     if not isinstance(body_text, str):
         raise TransformError(f"{op.describe()}: missing body text")
@@ -641,13 +618,22 @@ def _apply_replace_rule(grammar: Grammar, op: TransformOp) -> tuple[Grammar, int
     if "returns" in op.params:
         returns = op.param("returns")
         new_rule = replace(new_rule, returns_type=returns if returns else None)
-    return _set_rule(grammar, new_rule), 1
+    return new_rule, 1
 
 
-_RULE_LEVEL_APPLIERS = {
+#: Every operation kind's rule-level applier ``(rule, op) -> (rule, matched)``;
+#: a None rule (REPLACE_RULE with ``remove``) deletes the rule.
+_APPLIERS = {
+    OpKind.REPLACE_RULE: _apply_replace_rule,
     OpKind.REMOVE_KEYWORD: _apply_remove_keyword,
     OpKind.RENAME_KEYWORD: _apply_rename_keyword,
     OpKind.REMOVE_BRACES: _apply_remove_braces,
+    OpKind.REMOVE_OPTIONALITY: partial(
+        _apply_set_optionality, target=Cardinality.ONE, source=Cardinality.OPTIONAL
+    ),
+    OpKind.ADD_OPTIONALITY: partial(
+        _apply_set_optionality, target=Cardinality.OPTIONAL, source=Cardinality.ONE
+    ),
     OpKind.CHANGE_SEPARATOR: _apply_change_separator,
     OpKind.ADD_TERMINATOR: _apply_add_terminator,
     OpKind.CHANGE_CALLED_RULE: _apply_change_called_rule,
@@ -657,36 +643,28 @@ _RULE_LEVEL_APPLIERS = {
 
 
 def apply_single(op: TransformOp, grammar: Grammar) -> tuple[Grammar, int]:
-    """Apply one operation; a scope that matches nothing yields count 0."""
-    if op.kind is OpKind.REPLACE_RULE:
-        return _apply_replace_rule(grammar, op)
+    """Apply one operation to every in-scope rule in one pass; a scope that
+    matches nothing yields the input grammar and count 0."""
+    if op.kind is OpKind.REPLACE_RULE and (
+        op.scope.kind is not ScopeKind.RULE or not op.scope.rule
+    ):
+        raise TransformError(f"{op.describe()}: REPLACE_RULE requires a RULE scope")
+    applier = _APPLIERS[op.kind]
+    everywhere = op.scope.kind is ScopeKind.GRAMMAR
+    rules: list[ParserRule] = []
     matched = 0
-    for rule in _scoped_rules(grammar, op.scope):
-        if op.kind is OpKind.REMOVE_OPTIONALITY:
-            new_rule, m = _apply_set_optionality(
-                rule, op, Cardinality.ONE, Cardinality.OPTIONAL
-            )
-        elif op.kind is OpKind.ADD_OPTIONALITY:
-            new_rule, m = _apply_set_optionality(
-                rule, op, Cardinality.OPTIONAL, Cardinality.ONE
-            )
-        else:
-            new_rule, m = _RULE_LEVEL_APPLIERS[op.kind](rule, op)
-        if m:
-            grammar = _set_rule(grammar, new_rule)
-            matched += m
-    return grammar, matched
-
-
-def _affected_rules(before: Grammar, after: Grammar) -> tuple[str, ...]:
-    before_map = {r.name: r for r in before.rules}
-    names = []
-    for rule in after.rules:
-        old = before_map.get(rule.name)
-        if old is None or old != rule:
-            names.append(rule.name)
-    removed = [n for n in before_map if find_rule(after, n) is None]
-    return tuple(names + removed)
+    for rule in grammar.rules:
+        if everywhere or rule.name == op.scope.rule:
+            new_rule, m = applier(rule, op)
+            if m:
+                matched += m
+                if new_rule is None:
+                    continue
+                rule = new_rule
+        rules.append(rule)
+    if not matched:
+        return grammar, 0
+    return replace(grammar, rules=tuple(rules)), matched
 
 
 def apply_config(
@@ -697,11 +675,8 @@ def apply_config(
     ordered = sorted(config.entries, key=lambda op: PHASE_OF[op.kind])
     current = grammar
     for op in ordered:
-        before = current
         current, matched = apply_single(op, current)
-        report.outcomes.append(
-            OpOutcome(op=op, matched=matched, rules_affected=_affected_rules(before, current))
-        )
+        report.outcomes.append(OpOutcome(op=op, matched=matched))
     problems = grammar_problems(current)
     if problems:
         raise TransformError(
@@ -731,33 +706,40 @@ def config_to_json(config: TransformationConfig) -> str:
 
 
 def config_from_json(text: str) -> TransformationConfig:
+    """Load a config; any malformed document raises TransformError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise TransformError(f"invalid config JSON: {err}") from err
     if not isinstance(doc, dict) or "entries" not in doc:
         raise TransformError("invalid config JSON: missing 'entries'")
+    if not isinstance(doc["entries"], list):
+        raise TransformError("invalid config JSON: 'entries' is not a list")
     entries = []
     for i, raw in enumerate(doc["entries"]):
+        if not isinstance(raw, dict):
+            raise TransformError(f"entry {i}: not an object")
         try:
-            kind = OpKind(raw["kind"])
-        except (KeyError, ValueError):
+            kind = OpKind(raw.get("kind"))
+        except ValueError:
             raise TransformError(
                 f"entry {i}: unknown operation kind {raw.get('kind')!r}"
             ) from None
         raw_scope = raw.get("scope", {})
+        params = raw.get("params", {})
+        if not isinstance(raw_scope, dict) or not isinstance(params, dict):
+            raise TransformError(f"entry {i}: 'scope' and 'params' must be objects")
         try:
             scope_kind = ScopeKind(raw_scope.get("kind"))
         except ValueError:
             raise TransformError(
                 f"entry {i}: unknown scope kind {raw_scope.get('kind')!r}"
             ) from None
-        scope = Scope(
-            scope_kind,
-            rule=raw_scope.get("rule"),
-            feature=raw_scope.get("feature"),
-        )
-        entries.append(TransformOp(kind=kind, scope=scope, params=raw.get("params", {})))
+        rule, feature = raw_scope.get("rule"), raw_scope.get("feature")
+        if not all(v is None or isinstance(v, str) for v in (rule, feature)):
+            raise TransformError(f"entry {i}: scope 'rule' and 'feature' must be strings")
+        scope = Scope(scope_kind, rule=rule, feature=feature)
+        entries.append(TransformOp(kind=kind, scope=scope, params=params))
     return TransformationConfig(
         entries=tuple(entries), provenance=str(doc.get("provenance", ""))
     )

@@ -53,6 +53,19 @@ def test_extract_parse_error_exit_2(tmp_path, capsys):
     assert ":" in err  # diagnostics carry line:col spans
 
 
+def test_extract_internal_failure_exit_2(tmp_path, capsys, monkeypatch):
+    import xtadapt.cli
+    from xtadapt.extract import ExtractionError
+
+    def fail(g1, g1prime):
+        raise ExtractionError("extracted config does not replay rule 'Mission'")
+
+    monkeypatch.setattr(xtadapt.cli, "extract_config", fail)
+    code = main(["extract", "--g1", MISSION_G1, "--g1-prime", MISSION_G1P, "--out-config", str(tmp_path / "c.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "extracted config does not replay rule 'Mission'\n"
+
+
 # -- apply --------------------------------------------------------------------
 
 
@@ -101,6 +114,12 @@ def test_apply_invalid_config_exit_2(tmp_path, capsys):
     code = main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(tmp_path / "o.xtext")])
     assert code == 2
     assert "NOT_A_KIND" in capsys.readouterr().err
+    config.write_text('{"entries": [{"kind": "REMOVE_KEYWORD", "scope": {"kind": "RULE"}, "params": []}]}', encoding="utf-8")
+    code = main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(tmp_path / "o.xtext")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'params' must be objects" in err
+    assert "Traceback" not in err
 
 
 # -- adapt --------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import load_pair
 from xtadapt.model import Keyword, find_rule
@@ -12,6 +15,7 @@ from xtadapt.parsing import (
 )
 from xtadapt.transform import (
     OpKind,
+    ScopeKind,
     TransformError,
     TransformOp,
     TransformationConfig,
@@ -189,6 +193,14 @@ def test_idempotent_operations(mission_pair, kind, params):
     assert once == twice
 
 
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_every_kind_without_in_scope_rule_returns_input(mission_pair, kind):
+    g1, _ = mission_pair
+    adapted, matched = apply_single(op(kind, rule_scope("Absent")), g1)
+    assert adapted is g1
+    assert matched == 0
+
+
 def test_replace_rule_swaps_body(mission_pair):
     g1, _ = mission_pair
     replace = op(OpKind.REPLACE_RULE, rule_scope("Mission"), body="'mission' name=ID")
@@ -291,3 +303,47 @@ def test_config_json_rejects_malformed_document():
         config_from_json("{not json")
     with pytest.raises(TransformError):
         config_from_json('{"no_entries": true}')
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_SCOPE = st.fixed_dictionaries(
+    {"kind": st.sampled_from([k.value for k in ScopeKind]) | _JSON},
+    optional={"rule": st.sampled_from(["A", "B"]) | _JSON, "feature": st.sampled_from(["a", "b"]) | _JSON},
+)
+_PARAMS = st.dictionaries(
+    st.sampled_from(["text", "from", "to", "body", "remove", "returns"]),
+    st.sampled_from(["'a'", "a", ",", "b+=B"]) | _JSON,
+    max_size=3,
+)
+_ENTRY = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from([k.value for k in OpKind]) | _JSON,
+        "scope": _SCOPE | _JSON,
+        "params": _PARAMS | _JSON,
+    },
+)
+_CONFIG = st.fixed_dictionaries(
+    {"entries": st.lists(_ENTRY | _JSON, max_size=3) | _JSON},
+    optional={"provenance": _JSON},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON | _CONFIG)
+def test_config_from_json_fails_closed(doc):
+    """Any JSON value loads or raises TransformError, and a loaded config
+    applies or raises TransformError."""
+    try:
+        config = config_from_json(json.dumps(doc))
+    except TransformError:
+        return
+    grammar = parse_grammar("A: 'a' a=ID ('{' b+=B (',' b+=B)* '}')?;\n\nB: 'b' name=ID;")
+    try:
+        apply_config(config, grammar)
+    except TransformError:
+        pass
