@@ -14,6 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 from .conformance import ConformanceFinding
+from .extract import infer_rule_ops
 from .model import (
     Assignment,
     CrossReference,
@@ -118,8 +119,15 @@ def format_percent(value: float) -> str:
     return f"{quantized}%"
 
 
-def _signatures(grammar: Grammar) -> dict[str, list[str]]:
-    return {r.name: rule_signature(r) for r in grammar.rules}
+class _Signatures:
+    """Comparison tokens of one grammar's rules, computed once: in rule
+    order, and by name (a later rule of the same name wins, as in a dict)."""
+
+    def __init__(self, grammar: Grammar):
+        self.rules = grammar.rules
+        self.ordered = [rule_signature(r) for r in grammar.rules]
+        self.by_name = {r.name: sig for r, sig in zip(self.rules, self.ordered)}
+        self.rule_by_name = {r.name: r for r in self.rules}
 
 
 def compare_rules(candidate: Grammar, target: Grammar) -> list[RuleComparison]:
@@ -128,11 +136,13 @@ def compare_rules(candidate: Grammar, target: Grammar) -> list[RuleComparison]:
     Target rules lead in target order; candidate-only rules trail as
     EXTRA_IN_CANDIDATE.
     """
-    cand_sigs = _signatures(candidate)
+    return _compare_rules(_Signatures(candidate), _Signatures(target))
+
+
+def _compare_rules(cand: _Signatures, target: _Signatures) -> list[RuleComparison]:
     comparisons: list[RuleComparison] = []
-    for rule in target.rules:
-        target_sig = rule_signature(rule)
-        cand_sig = cand_sigs.get(rule.name)
+    for rule, target_sig in zip(target.rules, target.ordered):
+        cand_sig = cand.by_name.get(rule.name)
         if cand_sig is None:
             comparisons.append(
                 RuleComparison(rule.name, RuleStatus.MISSING_IN_CANDIDATE, len(target_sig))
@@ -141,13 +151,10 @@ def compare_rules(candidate: Grammar, target: Grammar) -> list[RuleComparison]:
         distance = token_distance(cand_sig, target_sig)
         status = RuleStatus.SAME if distance == 0 else RuleStatus.DIFF
         comparisons.append(RuleComparison(rule.name, status, distance))
-    target_names = {r.name for r in target.rules}
-    for rule in candidate.rules:
-        if rule.name not in target_names:
+    for rule, cand_sig in zip(cand.rules, cand.ordered):
+        if rule.name not in target.by_name:
             comparisons.append(
-                RuleComparison(
-                    rule.name, RuleStatus.EXTRA_IN_CANDIDATE, len(rule_signature(rule))
-                )
+                RuleComparison(rule.name, RuleStatus.EXTRA_IN_CANDIDATE, len(cand_sig))
             )
     return comparisons
 
@@ -155,11 +162,13 @@ def compare_rules(candidate: Grammar, target: Grammar) -> list[RuleComparison]:
 def required_rules(g2: Grammar, target: Grammar) -> list[str]:
     """Names of rules that differ between the generated and target grammars,
     i.e. the rules requiring adaptation; absence on either side counts."""
-    g2_sigs = _signatures(g2)
-    target_sigs = _signatures(target)
-    names = list(g2_sigs)
-    names.extend(n for n in target_sigs if n not in g2_sigs)
-    return [n for n in names if g2_sigs.get(n) != target_sigs.get(n)]
+    return _required_rules(_Signatures(g2), _Signatures(target))
+
+
+def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
+    names = list(g2.by_name)
+    names.extend(n for n in target.by_name if n not in g2.by_name)
+    return [n for n in names if g2.by_name.get(n) != target.by_name.get(n)]
 
 
 def compute_rac(
@@ -170,11 +179,16 @@ def compute_rac(
     A required rule counts as correct only when the candidate's version is
     token-equal to the target's; zero required rules is a vacuous success.
     """
-    cand_sigs = _signatures(candidate)
-    target_sigs = _signatures(target)
-    required = required_rules(g2, target)
+    target_sigs = _Signatures(target)
+    required = _required_rules(_Signatures(g2), target_sigs)
+    return _rac(required, _Signatures(candidate), target_sigs)
+
+
+def _rac(
+    required: list[str], cand: _Signatures, target: _Signatures
+) -> tuple[int, int, float]:
     n_total = len(required)
-    n_correct = sum(1 for n in required if cand_sigs.get(n) == target_sigs.get(n))
+    n_correct = sum(1 for n in required if cand.by_name.get(n) == target.by_name.get(n))
     rac = 1.0 if n_total == 0 else n_correct / n_total
     return n_total, n_correct, rac
 
@@ -182,9 +196,13 @@ def compute_rac(
 def compute_similarity(candidate: Grammar, target: Grammar) -> tuple[int, int, float]:
     """(same, diff, percent) counted over the target's rules; a rule missing
     from the candidate counts as diff, extra candidate rules count nowhere."""
+    return _similarity(compare_rules(candidate, target))
+
+
+def _similarity(comparisons: list[RuleComparison]) -> tuple[int, int, float]:
     same = 0
     diff = 0
-    for comparison in compare_rules(candidate, target):
+    for comparison in comparisons:
         if comparison.status is RuleStatus.SAME:
             same += 1
         elif comparison.status in (RuleStatus.DIFF, RuleStatus.MISSING_IN_CANDIDATE):
@@ -254,17 +272,20 @@ def _signature_scan(a: ParserRule, b: ParserRule) -> set[AdaptationType]:
     return types
 
 
-def _pair_types(src: ParserRule | None, dst: ParserRule | None) -> set[AdaptationType]:
-    """Adaptation types needed to turn src into dst (absence = everything
-    the other side's signature shows)."""
-    from .extract import infer_rule_ops
-
+def _pair_types(
+    src: ParserRule | None,
+    dst: ParserRule | None,
+    src_sig: list[str] | None,
+    dst_sig: list[str] | None,
+) -> set[AdaptationType]:
+    """Adaptation types needed to turn src into dst, given their signatures
+    (absence = everything the other side's signature shows)."""
     if src is None or dst is None:
         present = src if src is not None else dst
         assert present is not None
         empty_shell = ParserRule(present.name, None, RuleCall(rule_name=present.name))
         return _signature_scan(present, empty_shell)
-    if rule_signature(src) == rule_signature(dst):
+    if src_sig == dst_sig:
         return set()
     ops, fell_back = infer_rule_ops(src, dst)
     if fell_back:
@@ -282,24 +303,29 @@ def classify_adaptations(
     and target no longer needs it; a rule increments each required type's
     occurrence count exactly once.
     """
-    g2_rules = {r.name: r for r in g2.rules}
-    target_rules = {r.name: r for r in target.rules}
-    cand_rules = {r.name: r for r in candidate.rules}
+    g2_sigs, target_sigs = _Signatures(g2), _Signatures(target)
+    required = _required_rules(g2_sigs, target_sigs)
+    return _classify(required, g2_sigs, target_sigs, _Signatures(candidate))
+
+
+def _classify(
+    required: list[str], g2: _Signatures, target: _Signatures, cand: _Signatures
+) -> dict[AdaptationType, TypeCounts]:
     counts: dict[AdaptationType, TypeCounts] = {t: TypeCounts() for t in AdaptationType}
-    for name in required_rules(g2, target):
-        needed = _pair_types(g2_rules.get(name), target_rules.get(name))
+    for name in required:
+        tgt, tgt_sig = target.rule_by_name.get(name), target.by_name.get(name)
+        needed = _pair_types(g2.rule_by_name.get(name), tgt, g2.by_name.get(name), tgt_sig)
         if not needed:
             continue
-        cand = cand_rules.get(name)
-        tgt = target_rules.get(name)
-        if cand is not None and tgt is not None and rule_signature(cand) == rule_signature(tgt):
+        cand_rule, cand_sig = cand.rule_by_name.get(name), cand.by_name.get(name)
+        if cand_rule is not None and tgt is not None and cand_sig == tgt_sig:
             residual: set[AdaptationType] = set()
         elif tgt is None:
-            residual = needed if cand is not None else set()
-        elif cand is None:
+            residual = needed if cand_rule is not None else set()
+        elif cand_rule is None:
             residual = needed
         else:
-            residual = _pair_types(cand, tgt)
+            residual = _pair_types(cand_rule, tgt, cand_sig, tgt_sig)
         for adaptation_type in needed:
             counts[adaptation_type].occurrences += 1
             if adaptation_type in residual:
@@ -315,9 +341,16 @@ def evaluate(
     target: Grammar,
     conformance: list[ConformanceFinding] | None = None,
 ) -> EvaluationReport:
-    """Full report: RAC, similarity, per-type counts and rule comparisons."""
-    n_total, n_correct, rac = compute_rac(g2, candidate, target)
-    same, diff, percent = compute_similarity(candidate, target)
+    """Full report: RAC, similarity, per-type counts and rule comparisons.
+
+    Each grammar's rule signatures are computed once and shared by every
+    part of the report.
+    """
+    g2_sigs, cand_sigs, target_sigs = (_Signatures(g) for g in (g2, candidate, target))
+    required = _required_rules(g2_sigs, target_sigs)
+    n_total, n_correct, rac = _rac(required, cand_sigs, target_sigs)
+    comparisons = _compare_rules(cand_sigs, target_sigs)
+    same, diff, percent = _similarity(comparisons)
     return EvaluationReport(
         n_total=n_total,
         n_correct=n_correct,
@@ -325,8 +358,8 @@ def evaluate(
         same=same,
         diff=diff,
         percent=percent,
-        per_type=classify_adaptations(g2, target, candidate),
-        comparisons=compare_rules(candidate, target),
+        per_type=_classify(required, g2_sigs, target_sigs, cand_sigs),
+        comparisons=comparisons,
         conformance=conformance or [],
     )
 

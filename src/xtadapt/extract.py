@@ -332,12 +332,13 @@ def infer_rule_ops(
     replacement.
     """
     target_sig = rule_signature(dst)
-    if rule_signature(src) == target_sig:
+    src_sig = rule_signature(src)
+    if src_sig == target_sig:
         return [], False
-    if src.returns_type != dst.returns_type:
+    if src.returns_type != dst.returns_type or src.enum != dst.enum:
         return [_fallback_op(dst, src)], True
     working = src
-    distance = token_distance(rule_signature(working), target_sig)
+    distance = token_distance(src_sig, target_sig)
     candidates = _candidates(src, dst)
     accepted: list[TransformOp] = []
     progress = True
@@ -371,6 +372,8 @@ def _fallback_op(dst: ParserRule, src: ParserRule) -> TransformOp:
     params: dict[str, object] = {"body": render_body_inline(dst.body)}
     if src.returns_type != dst.returns_type:
         params["returns"] = dst.returns_type or ""
+    if src.enum != dst.enum:
+        params["enum"] = dst.enum
     return TransformOp(OpKind.REPLACE_RULE, rule_scope(dst.name), params)
 
 

@@ -112,9 +112,12 @@ class TerminalDecl:
 
 @dataclass(frozen=True)
 class ParserRule:
+    """A parser rule; ``enum`` marks an ``enum Name: ...;`` rule."""
+
     name: str
     returns_type: str | None
     body: Expression
+    enum: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ and printed text re-parses to a structurally equal grammar.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .model import (
+    ASSIGN_OPERATORS,
     ActionAnnotation,
     Alternatives,
     Assignment,
@@ -198,9 +200,20 @@ def normalized_tokens(source_text: str) -> list[str]:
 
 
 def token_distance(a: list[str], b: list[str]) -> int:
-    """Levenshtein distance between two token streams."""
+    """Levenshtein distance between two token streams.
+
+    A shared prefix or suffix never changes the distance, so only the span
+    between them goes through the dynamic program.
+    """
     if a == b:
         return 0
+    lo, n, m = 0, len(a), len(b)
+    while lo < n and lo < m and a[lo] == b[lo]:
+        lo += 1
+    while n > lo and m > lo and a[n - 1] == b[m - 1]:
+        n -= 1
+        m -= 1
+    a, b = a[lo:n], b[lo:m]
     if not a:
         return len(b)
     if not b:
@@ -296,9 +309,10 @@ class _Parser:
     def parse_rule(self) -> ParserRule:
         first = self.next()
         name = first.text
-        # Enum rules parse like ordinary rules; the marker itself carries no
-        # structure the transformations care about.
-        if name == "enum" and self.peek() is not None and self.peek().kind == "ident":
+        # An enum rule's body parses like an ordinary rule body; only the
+        # marker is kept, so printing restores it.
+        enum = name == "enum" and self.peek() is not None and self.peek().kind == "ident"
+        if enum:
             first = self.next()
             name = first.text
         returns_type: str | None = None
@@ -315,7 +329,7 @@ class _Parser:
         if tok is None or tok.text != ";":
             self.abort(f"missing ';' terminating rule {name!r}", first.span)
         self.next()
-        return ParserRule(name=name, returns_type=returns_type, body=body)
+        return ParserRule(name=name, returns_type=returns_type, body=body, enum=enum)
 
     def parse_qualified_name(self, what: str) -> str:
         tok = self.peek()
@@ -682,7 +696,7 @@ def _body_lines(body: Expression) -> list[str]:
 
 
 def print_rule(rule: ParserRule) -> str:
-    head = rule.name
+    head = "enum " + rule.name if rule.enum else rule.name
     if rule.returns_type:
         head += f" returns {rule.returns_type}"
     head += ":"
@@ -709,9 +723,117 @@ def print_grammar(grammar: Grammar) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# Comparison tokens
+# ---------------------------------------------------------------------------
+
+#: Identifier parts joined by ``::`` or ``.``: the lexer splits such a name
+#: the same way wherever the printer puts it.
+_QUALIFIED_NAME = re.compile(r"[A-Za-z_]\w*(?:(?:::|\.)[A-Za-z_]\w*)*", re.ASCII)
+
+
+class _NeedsPrinting(Exception):
+    """Internal: a piece whose tokens may depend on its printed neighbours."""
+
+
+def _emit_name(name: str, out: list[str]) -> None:
+    if name.isascii() and name.isidentifier():
+        out.append(name)
+    elif _QUALIFIED_NAME.fullmatch(name):
+        out.extend(tokenize(name))
+    else:
+        raise _NeedsPrinting
+
+
+def _emit(expr: Expression, out: list[str], bare: bool = False) -> None:
+    """Append the comparison tokens of ``_render_inline(expr, bare=bare)``."""
+    if expr.predicated:
+        out.append("=>")
+    kind = type(expr)
+    if kind is Keyword:
+        quote, text = expr.quote, expr.text
+        if quote not in ("'", '"') or quote in text or "\\" in text or "\n" in text:
+            raise _NeedsPrinting
+        out.append("'" + text + "'")
+    elif kind is Assignment:
+        if expr.operator not in ASSIGN_OPERATORS:
+            raise _NeedsPrinting
+        _emit_name(expr.feature, out)
+        out.append(expr.operator)
+        _emit(expr.terminal, out)
+    elif kind is RuleCall:
+        _emit_name(expr.rule_name, out)
+    elif kind is Group:
+        plain = bare and expr.cardinality is Cardinality.ONE and not expr.predicated
+        if not plain:
+            out.append("(")
+        for child in expr.children:
+            _emit(child, out)
+        if not plain:
+            out.append(")")
+    elif kind is Alternatives:
+        out.append("(")
+        _emit_branches(expr.branches, out)
+        out.append(")")
+    elif kind is CrossReference:
+        out.append("[")
+        if expr.type_name:
+            _emit_name(expr.type_name, out)
+        if expr.terminal_name is not None:
+            out.append("|")
+            _emit_name(expr.terminal_name, out)
+        out.append("]")
+    elif kind is ActionAnnotation:
+        out.append("{")
+        _emit_name(expr.type_name, out)
+        out.append("}")
+    else:
+        raise _NeedsPrinting
+    if expr.cardinality is not Cardinality.ONE:
+        out.append(expr.cardinality.value)
+
+
+def _emit_branches(branches: tuple[Expression, ...], out: list[str]) -> None:
+    for i, branch in enumerate(branches):
+        if i:
+            out.append("|")
+        _emit(branch, out, bare=True)
+
+
 def rule_signature(rule: ParserRule) -> list[str]:
-    """Comparison token stream of a rule: name, returns clause and body."""
-    return normalized_tokens(print_rule(rule))
+    """Comparison token stream of a rule: ``normalized_tokens(print_rule(rule))``.
+
+    The tokens are built from the model in one walk that mirrors the
+    printer; a rule holding a name or keyword the lexer might split
+    differently in context is printed and lexed instead.
+    """
+    out: list[str] = ["enum"] if rule.enum else []
+    body = rule.body
+    try:
+        _emit_name(rule.name, out)
+        if rule.returns_type:
+            out.append("returns")
+            _emit_name(rule.returns_type, out)
+        out.append(":")
+        if (
+            type(body) in (Group, Alternatives)
+            and body.cardinality is Cardinality.ONE
+            and not body.predicated
+        ):
+            # Printed bare, one element or branch per line.
+            if isinstance(body, Group) and body.children:
+                for child in body.children:
+                    _emit(child, out)
+            elif isinstance(body, Alternatives) and body.branches:
+                _emit_branches(body.branches, out)
+            else:
+                raise _NeedsPrinting  # the printer rejects an empty body
+        else:
+            _emit(body, out, bare=True)
+    except _NeedsPrinting:
+        return normalized_tokens(print_rule(rule))
+    out.append(";")
+    return out
 
 
 def grammar_body_tokens(grammar: Grammar) -> list[str]:

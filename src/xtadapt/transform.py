@@ -489,7 +489,8 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
     anchors = attribute_anchors(rule, feature)
     matched = 0
     body = rule.body
-    for anchor in anchors:
+    # Last anchor first: an insertion shifts the paths of what follows it.
+    for anchor in reversed(anchors):
         node = node_at(body, anchor)
         if isinstance(node, Group):
             idx = None
@@ -506,10 +507,13 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
                 continue
             parent_path = anchor[:-1]
             parent = node_at(body, parent_path)
-            kids = list(children_of(parent))
-            pos = anchor[-1] + 1
-            kids.insert(pos, Keyword(text=text))
-            body = _replace_at(body, parent_path, with_children(parent, tuple(kids)))
+            if isinstance(parent, Alternatives):
+                # A branch of its own: the terminator joins it, not the choice.
+                body = _replace_at(body, anchor, Group(children=(node, Keyword(text=text))))
+            else:
+                kids = list(children_of(parent))
+                kids.insert(anchor[-1] + 1, Keyword(text=text))
+                body = _replace_at(body, parent_path, with_children(parent, tuple(kids)))
             matched += 1
     return (replace(rule, body=body), matched) if matched else (rule, 0)
 
@@ -618,6 +622,8 @@ def _apply_replace_rule(
     if "returns" in op.params:
         returns = op.param("returns")
         new_rule = replace(new_rule, returns_type=returns if returns else None)
+    if "enum" in op.params:
+        new_rule = replace(new_rule, enum=bool(op.param("enum")))
     return new_rule, 1
 
 
@@ -705,6 +711,35 @@ def config_to_json(config: TransformationConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+#: Params each kind needs as strings; a config entry without them is
+#: rejected on load instead of applying ``str(None)``.
+_STRING_PARAMS: dict[OpKind, tuple[str, ...]] = {
+    OpKind.REMOVE_KEYWORD: ("text",),
+    OpKind.RENAME_KEYWORD: ("from", "to"),
+    OpKind.CHANGE_SEPARATOR: ("from",),
+    OpKind.ADD_TERMINATOR: ("text",),
+    OpKind.CHANGE_CALLED_RULE: ("from", "to"),
+}
+
+
+def _params_problem(kind: OpKind, params: dict) -> str | None:
+    """Why ``params`` cannot drive an op of ``kind``, or None."""
+    for name in _STRING_PARAMS.get(kind, ()):
+        if not isinstance(params.get(name), str):
+            return f"{kind.value} needs a string {name!r} param"
+    if kind is OpKind.CHANGE_SEPARATOR and not isinstance(params.get("to"), (str, type(None))):
+        return "CHANGE_SEPARATOR 'to' must be a string or null"
+    if kind is OpKind.REPLACE_RULE:
+        remove = params.get("remove", False)
+        if not isinstance(remove, bool) or not isinstance(params.get("enum", False), bool):
+            return "REPLACE_RULE 'remove' and 'enum' must be true or false"
+        if not remove and not isinstance(params.get("body"), str):
+            return "REPLACE_RULE needs a string 'body' param or 'remove': true"
+        if not isinstance(params.get("returns", ""), str):
+            return "REPLACE_RULE 'returns' must be a string"
+    return None
+
+
 def config_from_json(text: str) -> TransformationConfig:
     """Load a config; any malformed document raises TransformError."""
     try:
@@ -738,6 +773,13 @@ def config_from_json(text: str) -> TransformationConfig:
         rule, feature = raw_scope.get("rule"), raw_scope.get("feature")
         if not all(v is None or isinstance(v, str) for v in (rule, feature)):
             raise TransformError(f"entry {i}: scope 'rule' and 'feature' must be strings")
+        if scope_kind is not ScopeKind.GRAMMAR and not rule:
+            raise TransformError(f"entry {i}: a {scope_kind.value} scope needs a 'rule'")
+        if scope_kind is ScopeKind.ATTRIBUTE and not feature:
+            raise TransformError(f"entry {i}: an ATTRIBUTE scope needs a 'feature'")
+        problem = _params_problem(kind, params)
+        if problem:
+            raise TransformError(f"entry {i}: {problem}")
         scope = Scope(scope_kind, rule=rule, feature=feature)
         entries.append(TransformOp(kind=kind, scope=scope, params=params))
     return TransformationConfig(

@@ -122,6 +122,31 @@ def test_apply_invalid_config_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [
+        ({"kind": "ADD_TERMINATOR", "scope": {"kind": "ATTRIBUTE", "rule": "Mission", "feature": "uuid"}},
+         "ADD_TERMINATOR needs a string 'text' param"),
+        ({"kind": "REPLACE_RULE", "scope": {"kind": "RULE", "rule": "Mission"}, "params": {"returns": "M"}},
+         "REPLACE_RULE needs a string 'body' param or 'remove': true"),
+        ({"kind": "REPLACE_RULE", "scope": {"kind": "RULE", "rule": "Mission"},
+          "params": {"body": "'m'", "returns": [1]}},
+         "REPLACE_RULE 'returns' must be a string"),
+        ({"kind": "REMOVE_OPTIONALITY", "scope": {"kind": "ATTRIBUTE", "rule": "Mission"}},
+         "an ATTRIBUTE scope needs a 'feature'"),
+    ],
+)
+def test_apply_config_missing_params_exit_2(tmp_path, capsys, entry, fragment):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    out = tmp_path / "o.xtext"
+    code = main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"entry 0: {fragment}\n"
+    assert not out.exists()
+
+
 # -- adapt --------------------------------------------------------------------
 
 

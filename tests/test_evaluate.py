@@ -199,6 +199,22 @@ def test_classify_perfect_candidate_never_incorrect():
             assert counts.correct == counts.occurrences, (name, adaptation_type)
 
 
+def test_evaluate_agrees_with_the_public_parts():
+    """evaluate shares one signature map per grammar; each part of its
+    report still equals the standalone function."""
+    from corpus import corpus_pairs
+
+    trios = [build_trio(12, 7, 4), build_trio(5, 0, 0)]
+    trios += [(g2, g2, target) for _, g2, target, _ in corpus_pairs()]
+    trios += [(g2, target, target) for _, g2, target, _ in corpus_pairs()]
+    for g2, candidate, target in trios:
+        report = evaluate(g2, candidate, target)
+        assert (report.n_total, report.n_correct, report.rac) == compute_rac(g2, candidate, target)
+        assert (report.same, report.diff, report.percent) == compute_similarity(candidate, target)
+        assert report.per_type == classify_adaptations(g2, target, candidate)
+        assert report.comparisons == compare_rules(candidate, target)
+
+
 # -- report -------------------------------------------------------------------
 
 

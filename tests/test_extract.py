@@ -14,7 +14,7 @@ from corpus import (
 )
 from xtadapt.extract import extract_config, infer_rule_ops, pair_rules
 from xtadapt.model import Grammar
-from xtadapt.parsing import grammar_body_tokens, parse_grammar
+from xtadapt.parsing import grammar_body_tokens, parse_grammar, print_grammar
 from xtadapt.transform import OpKind, apply_config
 
 
@@ -147,6 +147,25 @@ def test_returns_clause_change_falls_back():
     assert result.fallback_count == 1
     adapted, _ = apply_config(result.config, left)
     assert grammar_body_tokens(adapted) == grammar_body_tokens(right)
+
+
+def test_enum_grammar_survives_identity_replay():
+    grammar = load_grammar("edgeop.xtext")
+    result = extract_config(grammar, grammar)
+    assert result.config.is_identity
+    adapted, _ = apply_config(result.config, grammar)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(grammar)
+    assert print_grammar(adapted).startswith("enum EdgeOp")
+
+
+def test_enum_marker_change_falls_back():
+    left = parse_grammar("Op: a='+' | b='-';")
+    right = parse_grammar("enum Op: a='+' | b='-';")
+    for g1, g1prime in ((left, right), (right, left)):
+        result = extract_config(g1, g1prime)
+        assert result.fallback_count == 1
+        adapted, _ = apply_config(result.config, g1)
+        assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
 
 
 def test_config_reuse_on_evolved_grammar():

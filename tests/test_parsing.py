@@ -1,10 +1,11 @@
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import corpus_grammars, load_grammar, read_fixture
+from corpus import PAIRS, corpus_grammars, load_grammar, random_mutation_pair, read_fixture
 from xtadapt.model import (
     ActionAnnotation,
     Alternatives,
@@ -14,7 +15,9 @@ from xtadapt.model import (
     Grammar,
     Group,
     Keyword,
+    ParserRule,
     RuleCall,
+    assignments_of,
     walk,
 )
 from xtadapt.parsing import (
@@ -24,8 +27,18 @@ from xtadapt.parsing import (
     parse_grammar,
     parse_rule_body,
     print_grammar,
+    print_rule,
+    rule_signature,
     token_distance,
     tokenize,
+)
+from xtadapt.transform import (
+    OpKind,
+    TransformError,
+    TransformOp,
+    apply_single,
+    attribute_scope,
+    rule_scope,
 )
 
 
@@ -213,14 +226,18 @@ def test_header_only_grammar_round_trip():
     assert parse_grammar(print_grammar(grammar)) == grammar
 
 
-def test_enum_rule_marker_is_dropped():
+def test_enum_rule_marker_round_trips():
     grammar = parse_grammar("enum EdgeOp returns EdgeOp:\n    directed='->' | undirected='--';")
     assert isinstance(grammar, Grammar)
     rule = grammar.rules[0]
     assert rule.name == "EdgeOp"
+    assert rule.enum
     assert isinstance(rule.body, Alternatives)
-    reparsed = parse_grammar(print_grammar(grammar))
+    printed = print_grammar(grammar)
+    assert printed.startswith("enum EdgeOp returns EdgeOp:")
+    reparsed = parse_grammar(printed)
     assert reparsed == grammar
+    assert rule_signature(rule)[:2] == ["enum", "EdgeOp"]
 
 
 _GRAMMARISH = st.text(
@@ -303,8 +320,6 @@ def _expression_strategy():
 @settings(max_examples=150, deadline=None)
 @given(body=_expression_strategy())
 def test_printed_model_values_reach_fixpoint(body):
-    from xtadapt.model import ParserRule
-
     grammar = Grammar(rules=(ParserRule("R", "R", body),))
     printed = print_grammar(grammar)
     once = parse_grammar(printed)
@@ -328,3 +343,158 @@ def test_token_stability_over_corpus():
                 assert same_tokens, f"{name_a} vs {name_b}"
             if same_tokens and name_a.split("_")[0] != name_b.split("_")[0]:
                 assert structurally_equal, f"{name_a} vs {name_b}"
+
+
+# -- comparison kernel ------------------------------------------------------
+
+
+def _tokens_or_error(fn, rule):
+    try:
+        return fn(rule)
+    except Exception as err:  # the reference path may raise; so must the emitter
+        return type(err)
+
+
+def assert_signature_matches_printing(rule):
+    """rule_signature is the normalized token stream of the printed rule."""
+    expected = _tokens_or_error(lambda r: normalized_tokens(print_rule(r)), rule)
+    assert _tokens_or_error(rule_signature, rule) == expected, print_rule(rule)
+
+
+_FIXTURE_RULES = [rule for _, grammar in corpus_grammars() for rule in grammar.rules]
+
+
+def test_signature_matches_printing_on_every_fixture_rule():
+    assert any(rule.enum for rule in _FIXTURE_RULES)
+    for rule in _FIXTURE_RULES:
+        assert_signature_matches_printing(rule)
+
+
+#: Names and keyword texts that print and lex in every way the emitter has
+#: to mirror: plain and qualified names, names the lexer would split or
+#: merge with their neighbours, and texts with quotes, escapes or newlines.
+_ODD_TEXTS = [
+    "a", "Thing", "_x1", "p::T", "a.b.c", "ecore::EString", "x y", "1.5", "9lives",
+    "é", "Ⅻ", "", "a-b", "//", "/*", "=>", "a'b", 'a"b', "back\\", "tab\t", "new\nline",
+    "{", "}", ",", ";", "'", '"', "a:", ":a", "a.", "::",
+]
+_ODD = st.sampled_from(_ODD_TEXTS)
+
+
+def _odd_expression_strategy():
+    leaves = st.one_of(
+        st.builds(Keyword, text=_ODD, quote=st.sampled_from(["'", '"', "'", "`"])),
+        st.builds(RuleCall, rule_name=_ODD),
+        st.builds(ActionAnnotation, type_name=_ODD),
+        st.builds(CrossReference, type_name=_ODD, terminal_name=st.none() | _ODD),
+    )
+
+    def attach(node_strategy):
+        return st.builds(
+            lambda node, card, pred: replace(node, cardinality=card, predicated=pred),
+            node_strategy,
+            st.sampled_from(list(Cardinality)),
+            st.booleans(),
+        )
+
+    def compounds(children):
+        kids = st.lists(children, max_size=4)
+        return st.one_of(
+            attach(st.builds(lambda k: Group(children=tuple(k)), kids)),
+            attach(st.builds(lambda k: Alternatives(branches=tuple(k)), kids)),
+            attach(
+                st.builds(
+                    Assignment,
+                    feature=_ODD,
+                    operator=st.sampled_from(["=", "+=", "?=", "=", ":="]),
+                    terminal=children,
+                )
+            ),
+        )
+
+    return st.recursive(attach(leaves), compounds, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=_ODD,
+    returns=st.none() | _ODD,
+    enum=st.booleans(),
+    body=_odd_expression_strategy(),
+)
+def test_signature_matches_printing_on_model_values(name, returns, enum, body):
+    assert_signature_matches_printing(ParserRule(name, returns, body, enum=enum))
+
+
+#: REPLACE_RULE bodies with qualified names and both quote styles.
+_BODIES = ["'a' x=p::T", "\"q'\" y+=[a.b|ID] ';'?", "(k=ID | 'x')*", "{Node} '=>' n=ecore::EString"]
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signature_matches_printing_after_each_op_kind(kind, data):
+    rule = data.draw(st.sampled_from(_FIXTURE_RULES))
+    features = sorted({a.feature for _, a in assignments_of(rule)})
+    scope = data.draw(
+        st.sampled_from([rule_scope(rule.name)] + [attribute_scope(rule.name, f) for f in features])
+    )
+    present = sorted(
+        {n.text for _, n in walk(rule.body) if isinstance(n, Keyword)}
+        | {n.rule_name for _, n in walk(rule.body) if isinstance(n, RuleCall)}
+    )
+    params = {
+        "text": data.draw(st.sampled_from(present + ["*"]) | _ODD),
+        "from": data.draw(st.sampled_from(present) | _ODD) if present else data.draw(_ODD),
+        "to": data.draw(st.none() | _ODD),
+        "body": data.draw(st.sampled_from(_BODIES)),
+        "returns": data.draw(_ODD),
+    }
+    try:
+        adapted, _ = apply_single(TransformOp(kind, scope, params), Grammar(rules=(rule,)))
+    except TransformError:
+        return
+    for new_rule in adapted.rules:
+        assert_signature_matches_printing(new_rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from([f"{name}_{side}.xtext" for name, _ in PAIRS for side in ("generated", "target")]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_signature_matches_printing_on_random_mutants(base, seed):
+    mutation = random_mutation_pair(load_grammar(base), random.Random(seed))
+    if mutation is None:
+        return
+    for rule in mutation[0].rules:
+        assert_signature_matches_printing(rule)
+
+
+def _reference_distance(a, b):
+    """Full-matrix Levenshtein distance, kept independent of the library."""
+    rows = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        rows[i][0] = i
+    for j in range(len(b) + 1):
+        rows[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            rows[i][j] = min(
+                rows[i - 1][j] + 1,
+                rows[i][j - 1] + 1,
+                rows[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return rows[len(a)][len(b)]
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "'{'", ";"]), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix=_TOKENS, left=_TOKENS, right=_TOKENS, suffix=_TOKENS)
+def test_token_distance_matches_full_matrix(prefix, left, right, suffix):
+    a, b = prefix + left + suffix, prefix + right + suffix
+    assert token_distance(a, b) == _reference_distance(a, b)
+    assert token_distance(left, right) == _reference_distance(left, right)
+    assert token_distance(b, a) == token_distance(a, b)

@@ -227,6 +227,26 @@ def test_replace_rule_bad_body_raises(mission_pair):
     assert "REPLACE_RULE" in str(err.value)
 
 
+def test_add_terminator_follows_every_occurrence():
+    grammar = parse_grammar(
+        "A: x=ID 'k' x=ID y=ID;\n\nP: {P} ':' (=> c=C | n=ID | (n=ID ':' c=C));"
+    )
+    adapted, report = apply_config(
+        TransformationConfig(
+            entries=(
+                op(OpKind.ADD_TERMINATOR, attribute_scope("A", "x"), text=";"),
+                op(OpKind.ADD_TERMINATOR, attribute_scope("P", "c"), text=";"),
+            )
+        ),
+        grammar,
+    )
+    expected = parse_grammar(
+        "A: x=ID ';' 'k' x=ID ';' y=ID;\n\nP: {P} ':' (=> c=C ';' | n=ID | (n=ID ':' c=C ';'));"
+    )
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(expected)
+    assert [o.matched for o in report.outcomes] == [2, 2]
+
+
 def test_phase_order_bounds_example():
     grammar = parse_grammar(
         "X: 'bounds' '{' bounds+=XGenericType ( \",\" bounds+=XGenericType)* '}';"
@@ -305,6 +325,46 @@ def test_config_json_rejects_malformed_document():
         config_from_json('{"no_entries": true}')
 
 
+@pytest.mark.parametrize(
+    "kind,scope,params,fragment",
+    [
+        ("ADD_TERMINATOR", {"kind": "ATTRIBUTE", "rule": "A", "feature": "a"}, {}, "string 'text'"),
+        ("ADD_TERMINATOR", {"kind": "ATTRIBUTE", "rule": "A", "feature": "a"}, {"text": 1}, "string 'text'"),
+        ("RENAME_KEYWORD", {"kind": "RULE", "rule": "A"}, {"from": "a"}, "string 'to'"),
+        ("CHANGE_CALLED_RULE", {"kind": "RULE", "rule": "A"}, {"to": "B"}, "string 'from'"),
+        ("CHANGE_SEPARATOR", {"kind": "RULE", "rule": "A"}, {"from": ",", "to": 1}, "'to' must be"),
+        ("REPLACE_RULE", {"kind": "RULE", "rule": "A"}, {}, "'body' param or 'remove': true"),
+        ("REPLACE_RULE", {"kind": "RULE", "rule": "A"}, {"remove": False}, "'body' param"),
+        ("REPLACE_RULE", {"kind": "RULE", "rule": "A"}, {"remove": "yes"}, "true or false"),
+        ("REPLACE_RULE", {"kind": "RULE", "rule": "A"}, {"body": "'a'", "returns": [1]}, "'returns' must be a string"),
+        ("REPLACE_RULE", {"kind": "RULE", "rule": "A"}, {"body": "'a'", "enum": 1}, "true or false"),
+        ("REMOVE_BRACES", {"kind": "ATTRIBUTE", "rule": "A"}, {}, "needs a 'feature'"),
+        ("REMOVE_BRACES", {"kind": "ATTRIBUTE", "feature": "a"}, {}, "needs a 'rule'"),
+        ("REMOVE_BRACES", {"kind": "RULE"}, {}, "needs a 'rule'"),
+    ],
+)
+def test_config_json_rejects_missing_params(kind, scope, params, fragment):
+    doc = {"entries": [{"kind": kind, "scope": scope, "params": params}]}
+    with pytest.raises(TransformError) as err:
+        config_from_json(json.dumps(doc))
+    assert fragment in str(err.value)
+    assert str(err.value).startswith("entry 0: ")
+
+
+def test_config_json_accepts_what_extract_writes():
+    doc = {
+        "entries": [
+            {"kind": "CHANGE_SEPARATOR", "scope": {"kind": "ATTRIBUTE", "rule": "A", "feature": "b"},
+             "params": {"from": ",", "to": None}},
+            {"kind": "REPLACE_RULE", "scope": {"kind": "RULE", "rule": "B"}, "params": {"remove": True}},
+            {"kind": "REPLACE_RULE", "scope": {"kind": "RULE", "rule": "A"},
+             "params": {"body": "'a'", "returns": "", "enum": False}},
+            {"kind": "REMOVE_BRACES", "scope": {"kind": "GRAMMAR"}, "params": {}},
+        ]
+    }
+    assert len(config_from_json(json.dumps(doc)).entries) == 4
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -327,8 +387,13 @@ _ENTRY = st.fixed_dictionaries(
         "params": _PARAMS | _JSON,
     },
 )
+#: An entry whose kind, scope and params have the right JSON types, so the
+#: per-kind param and scope checks decide whether it loads.
+_TYPED_ENTRY = st.fixed_dictionaries(
+    {"kind": st.sampled_from([k.value for k in OpKind]), "scope": _SCOPE, "params": _PARAMS}
+)
 _CONFIG = st.fixed_dictionaries(
-    {"entries": st.lists(_ENTRY | _JSON, max_size=3) | _JSON},
+    {"entries": st.lists(_TYPED_ENTRY | _ENTRY | _JSON, max_size=3) | _JSON},
     optional={"provenance": _JSON},
 )
 
@@ -342,6 +407,16 @@ def test_config_from_json_fails_closed(doc):
         config = config_from_json(json.dumps(doc))
     except TransformError:
         return
+    for entry in config.entries:
+        if entry.scope.kind is not ScopeKind.GRAMMAR:
+            assert isinstance(entry.scope.rule, str) and entry.scope.rule
+        if entry.scope.kind is ScopeKind.ATTRIBUTE:
+            assert isinstance(entry.scope.feature, str) and entry.scope.feature
+        if entry.kind is OpKind.ADD_TERMINATOR:
+            assert isinstance(entry.param("text"), str)
+        if entry.kind is OpKind.REPLACE_RULE:
+            assert entry.param("remove") is True or isinstance(entry.param("body"), str)
+            assert isinstance(entry.param("returns", ""), str)
     grammar = parse_grammar("A: 'a' a=ID ('{' b+=B (',' b+=B)* '}')?;\n\nB: 'b' name=ID;")
     try:
         apply_config(config, grammar)
