@@ -20,6 +20,7 @@ from .model import (
     Group,
     Keyword,
     ParserRule,
+    Path,
     RuleCall,
     assignments_of,
     children_of,
@@ -34,8 +35,8 @@ from .transform import (
     TransformationConfig,
     apply_config,
     apply_single,
-    attribute_anchors,
     attribute_scope,
+    feature_anchors,
     rule_scope,
 )
 
@@ -109,13 +110,27 @@ def _body_brace_info(rule: ParserRule) -> tuple[str, int] | None:
     return None
 
 
-def _feature_context(rule: ParserRule, feature: str) -> _FeatureContext | None:
-    paths = [p for p, a in assignments_of(rule) if a.feature == feature]
-    if not paths:
-        return None
-    anchors = attribute_anchors(rule, feature)
-    anchor = anchors[0]
-    anchor_node = node_at(rule.body, anchor)
+@dataclass
+class _RuleFacts:
+    """What every feature context of one rule shares, computed once."""
+
+    rule: ParserRule
+    paths: dict[str, list[Path]]  # assignment paths per feature, in feature order
+    anchors: dict[str, list[Path]]
+    brace_info: tuple[str, int] | None
+
+    @classmethod
+    def of(cls, rule: ParserRule) -> _RuleFacts:
+        paths: dict[str, list[Path]] = {}
+        for path, assignment in assignments_of(rule):
+            paths.setdefault(assignment.feature, []).append(path)
+        return cls(rule, paths, feature_anchors(rule), _body_brace_info(rule))
+
+
+def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
+    rule = facts.rule
+    paths = facts.paths[feature]
+    anchor_node = node_at(rule.body, facts.anchors[feature][0])
 
     first = paths[0]
     parent = node_at(rule.body, first[:-1]) if first else rule.body
@@ -163,10 +178,9 @@ def _feature_context(rule: ParserRule, feature: str) -> _FeatureContext | None:
         assert isinstance(a, Assignment)
         calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
 
-    brace_info = _body_brace_info(rule)
     before_braces = True
-    if brace_info is not None and first:
-        before_braces = first[0] < brace_info[1]
+    if facts.brace_info is not None and first:
+        before_braces = first[0] < facts.brace_info[1]
     return _FeatureContext(
         feature=feature,
         anchor_node=anchor_node,
@@ -198,14 +212,6 @@ def _leading_keyword(rule: ParserRule) -> str | None:
     return None
 
 
-def _features_in_order(rule: ParserRule) -> list[str]:
-    seen: list[str] = []
-    for _, a in assignments_of(rule):
-        if a.feature not in seen:
-            seen.append(a.feature)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Candidate generation
 # ---------------------------------------------------------------------------
@@ -220,17 +226,14 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
         if op not in ops:
             ops.append(op)
 
-    src_features = _features_in_order(src)
-    dst_features = set(_features_in_order(dst))
+    src_facts, dst_facts = _RuleFacts.of(src), _RuleFacts.of(dst)
     dst_keywords = set(_keyword_texts(dst))
 
-    for feature in src_features:
-        if feature not in dst_features:
+    for feature in src_facts.paths:
+        if feature not in dst_facts.paths:
             continue
-        sc = _feature_context(src, feature)
-        dc = _feature_context(dst, feature)
-        if sc is None or dc is None:
-            continue
+        sc = _feature_context(src_facts, feature)
+        dc = _feature_context(dst_facts, feature)
         scope = attribute_scope(name, feature)
         if not sc.before_braces and dc.before_braces and dc.keyword_before is None:
             add(OpKind.PROMOTE_ATTRIBUTE, scope, {"anchor": "BEFORE_BRACES"})
@@ -273,8 +276,7 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
                 )
 
     # Rule-level structure.
-    src_brace = _body_brace_info(src)
-    dst_brace = _body_brace_info(dst)
+    src_brace, dst_brace = src_facts.brace_info, dst_facts.brace_info
     if src_brace is not None and src_brace[0] == "bare":
         if dst_brace is not None and dst_brace[0] == "wrapped":
             add(OpKind.MAKE_BRACES_OPTIONAL, rule_scope(name))
@@ -357,15 +359,17 @@ def infer_rule_ops(
                 progress = True
     if distance > 0:
         return [_fallback_op(dst, src)], True
-    accepted.sort(key=lambda op: PHASE_OF[op.kind])
-    # The greedy loop validated ops in acceptance order; replay runs them
-    # phase-bucketed, which can disagree when ops overlap structurally.
-    replayed = src
-    for op in accepted:
-        replayed, _ = _apply_to_rule(op, replayed)
-    if rule_signature(replayed) != target_sig:
-        return [_fallback_op(dst, src)], True
-    return accepted, False
+    ordered = sorted(accepted, key=lambda op: PHASE_OF[op.kind])
+    if ordered != accepted:
+        # The greedy loop validated ops in acceptance order; replay runs them
+        # phase-bucketed, which can disagree when ops overlap structurally.
+        # In acceptance order the replay would redo the loop's own applies.
+        replayed = src
+        for op in ordered:
+            replayed, _ = _apply_to_rule(op, replayed)
+        if rule_signature(replayed) != target_sig:
+            return [_fallback_op(dst, src)], True
+    return ordered, False
 
 
 def _fallback_op(dst: ParserRule, src: ParserRule) -> TransformOp:

@@ -203,7 +203,10 @@ def token_distance(a: list[str], b: list[str]) -> int:
     """Levenshtein distance between two token streams.
 
     A shared prefix or suffix never changes the distance, so only the span
-    between them goes through the dynamic program.
+    between them is compared, with the bit-vector algorithm of Myers (1999)
+    in Hyyrö's form: one column of the edit-distance matrix is held as bits
+    of its vertical deltas, using Python ints so the span has no length
+    limit.
     """
     if a == b:
         return 0
@@ -213,19 +216,31 @@ def token_distance(a: list[str], b: list[str]) -> int:
     while n > lo and m > lo and a[n - 1] == b[m - 1]:
         n -= 1
         m -= 1
-    a, b = a[lo:n], b[lo:m]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tb in enumerate(b, start=1):
-            cost = 0 if ta == tb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    if n == lo or m == lo:
+        return (n - lo) + (m - lo)
+    peq: dict[str, int] = {}  # token -> bit i set where a[lo + i] is it
+    bit = 1
+    for token in a[lo:n]:
+        peq[token] = peq.get(token, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    vp, vn, distance = mask, 0, n - lo
+    for token in b[lo:m]:
+        eq = peq.get(token, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | (mask & ~(xh | vp))
+        mh = vp & xh
+        if ph & high:
+            distance += 1
+        elif mh & high:
+            distance -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        vp = mh | (mask & ~(xv | ph))
+        vn = ph & xv
+    return distance
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +325,17 @@ class _Parser:
         first = self.next()
         name = first.text
         # An enum rule's body parses like an ordinary rule body; only the
-        # marker is kept, so printing restores it.
-        enum = name == "enum" and self.peek() is not None and self.peek().kind == "ident"
+        # marker is kept, so printing restores it.  ``enum N:`` and
+        # ``enum N returns T:`` are enum rules; ``enum returns T:`` is a
+        # parser rule named ``enum``.
+        enum = (
+            name == "enum"
+            and self._peek_kind(0) == "ident"
+            and (
+                self._peek_text(1) == ":"
+                or (self._peek_text(1) == "returns" and self._peek_kind(2) == "ident")
+            )
+        )
         if enum:
             first = self.next()
             name = first.text
@@ -357,6 +381,10 @@ class _Parser:
     def _peek_text(self, offset: int) -> str | None:
         tok = self.peek(offset)
         return tok.text if tok is not None else None
+
+    def _peek_kind(self, offset: int) -> str | None:
+        tok = self.peek(offset)
+        return tok.kind if tok is not None else None
 
     # -- expressions --------------------------------------------------------
 

@@ -171,44 +171,71 @@ def attribute_anchors(rule: ParserRule, feature: str) -> list[Path]:
     single-attribute rule like ``'Label' '{' ('value' value=X) '}'`` anchors
     at the wrapper group, not at the whole body.
     """
-    anchors: list[Path] = []
-    for path, assignment in assignments_of(rule):
-        if assignment.feature != feature:
-            continue
-        anchor = path
-        while anchor:
-            parent_path = anchor[:-1]
-            parent = node_at(rule.body, parent_path)
-            if not isinstance(parent, Group):
-                break
-            features = {
-                n.feature for _, n in walk(parent) if isinstance(n, Assignment)
-            }
-            if features != {feature}:
-                break
-            if parent_path == () and any(
-                isinstance(c, Keyword) and c.text != feature and _is_word(c.text)
-                for c in parent.children
-            ):
-                break
-            # Brace keywords belong to the region only in the generated
-            # keyword-braces-content idiom, where the assignment sits right
-            # next to them; a braces wrapper around a finished sub-group is
-            # rule structure, not part of the attribute.
-            has_brace_child = any(
-                isinstance(c, Keyword) and c.text in ("{", "}")
-                for c in parent.children
-            )
-            assignment_is_direct = any(
-                isinstance(c, Assignment) and c.feature == feature
-                for c in parent.children
-            )
-            if has_brace_child and not assignment_is_direct:
-                break
-            anchor = parent_path
-        if anchor not in anchors:
-            anchors.append(anchor)
+    return feature_anchors(rule).get(feature, [])
+
+
+#: Sole-feature marker of a subtree whose assignments target several features.
+_MIXED = object()
+
+
+def feature_anchors(rule: ParserRule) -> dict[str, list[Path]]:
+    """``attribute_anchors`` of every feature of ``rule``, keyed in order of
+    each feature's first assignment, from one bottom-up walk of the body."""
+    found: list[list] = []  # [feature, anchor] per assignment, in pre-order
+
+    def visit(node: Expression, path: Path) -> tuple[object, list[int]]:
+        """The one feature below ``node`` (None if none, _MIXED if several)
+        and the assignments whose anchor may still rise above ``node``."""
+        sole: object = None
+        if isinstance(node, Assignment):
+            sole, own = node.feature, [len(found)]
+            found.append([node.feature, path])
+        rising: list[int] = []
+        for i, child in enumerate(children_of(node)):
+            if not isinstance(child, (Assignment, Group, Alternatives)):
+                continue  # a leaf holds no assignment
+            child_sole, child_rising = visit(child, path + (i,))
+            if child_sole is not None and child_sole != sole:
+                sole = child_sole if sole is None else _MIXED
+            rising += child_rising
+        if isinstance(node, Assignment):
+            return sole, own  # what its terminal holds stops there
+        if (
+            isinstance(node, Group)
+            and rising
+            and sole is not _MIXED
+            and _is_region(node, sole, path == ())
+        ):
+            for i in rising:
+                found[i][1] = path
+            return sole, rising
+        return sole, []
+
+    visit(rule.body, ())
+    anchors: dict[str, list[Path]] = {}
+    for feature, anchor in found:
+        seen = anchors.setdefault(feature, [])
+        if anchor not in seen:
+            seen.append(anchor)
     return anchors
+
+
+def _is_region(group: Group, feature: str, is_body: bool) -> bool:
+    """Whether ``group``, all of whose assignments target ``feature``,
+    belongs to that feature's region."""
+    if is_body and any(
+        isinstance(c, Keyword) and c.text != feature and _is_word(c.text)
+        for c in group.children
+    ):
+        return False
+    # Brace keywords belong to the region only in the generated
+    # keyword-braces-content idiom, where the assignment sits right next to
+    # them; a braces wrapper around a finished sub-group is rule structure,
+    # not part of the attribute.
+    has_brace_child = any(
+        isinstance(c, Keyword) and c.text in ("{", "}") for c in group.children
+    )
+    return not has_brace_child or any(isinstance(c, Assignment) for c in group.children)
 
 
 def _is_word(text: str) -> bool:
@@ -648,41 +675,70 @@ _APPLIERS = {
 }
 
 
+def _apply_in_order(
+    ops: list[TransformOp], grammar: Grammar
+) -> tuple[tuple[ParserRule, ...], list[int]]:
+    """Apply ``ops`` in list order, each to every in-scope rule, as one pass
+    over the rules: each rule gets its own ops and the GRAMMAR-scoped ones,
+    in list order.  Returns the rules and each op's matched count.
+
+    Ops only ever read the rule they edit, so this equals applying one op
+    at a time to the whole grammar, down to the error raised: that of the
+    first op in the list that fails.
+    """
+    errors: dict[int, TransformError] = {}
+    everywhere: list[int] = []
+    by_rule: dict[str | None, list[int]] = {}
+    for i, op in enumerate(ops):
+        if op.kind is OpKind.REPLACE_RULE and (
+            op.scope.kind is not ScopeKind.RULE or not op.scope.rule
+        ):
+            errors[i] = TransformError(f"{op.describe()}: REPLACE_RULE requires a RULE scope")
+        elif op.scope.kind is ScopeKind.GRAMMAR:
+            everywhere.append(i)
+        else:
+            by_rule.setdefault(op.scope.rule, []).append(i)
+    matched = [0] * len(ops)
+    rules: list[ParserRule] = []
+    for rule in grammar.rules:
+        own = by_rule.get(rule.name, [])
+        for i in sorted(own + everywhere):
+            op = ops[i]
+            try:
+                new_rule, m = _APPLIERS[op.kind](rule, op)
+            except TransformError as err:
+                errors.setdefault(i, err)
+                break
+            if m:
+                matched[i] += m
+                rule = new_rule
+                if rule is None:
+                    break
+        if rule is not None:
+            rules.append(rule)
+    if errors:
+        raise errors[min(errors)]
+    return tuple(rules), matched
+
+
 def apply_single(op: TransformOp, grammar: Grammar) -> tuple[Grammar, int]:
     """Apply one operation to every in-scope rule in one pass; a scope that
     matches nothing yields the input grammar and count 0."""
-    if op.kind is OpKind.REPLACE_RULE and (
-        op.scope.kind is not ScopeKind.RULE or not op.scope.rule
-    ):
-        raise TransformError(f"{op.describe()}: REPLACE_RULE requires a RULE scope")
-    applier = _APPLIERS[op.kind]
-    everywhere = op.scope.kind is ScopeKind.GRAMMAR
-    rules: list[ParserRule] = []
-    matched = 0
-    for rule in grammar.rules:
-        if everywhere or rule.name == op.scope.rule:
-            new_rule, m = applier(rule, op)
-            if m:
-                matched += m
-                if new_rule is None:
-                    continue
-                rule = new_rule
-        rules.append(rule)
+    rules, (matched,) = _apply_in_order([op], grammar)
     if not matched:
         return grammar, 0
-    return replace(grammar, rules=tuple(rules)), matched
+    return replace(grammar, rules=rules), matched
 
 
 def apply_config(
     config: TransformationConfig, grammar: Grammar
 ) -> tuple[Grammar, ApplyReport]:
-    """Apply all entries in canonical phase order; the input is untouched."""
-    report = ApplyReport()
+    """Apply all entries in canonical phase order, in one pass over the
+    rules; the input is untouched."""
     ordered = sorted(config.entries, key=lambda op: PHASE_OF[op.kind])
-    current = grammar
-    for op in ordered:
-        current, matched = apply_single(op, current)
-        report.outcomes.append(OpOutcome(op=op, matched=matched))
+    rules, matched = _apply_in_order(ordered, grammar)
+    report = ApplyReport([OpOutcome(op=op, matched=m) for op, m in zip(ordered, matched)])
+    current = replace(grammar, rules=rules) if any(matched) else grammar
     problems = grammar_problems(current)
     if problems:
         raise TransformError(

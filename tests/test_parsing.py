@@ -240,6 +240,40 @@ def test_enum_rule_marker_round_trips():
     assert rule_signature(rule)[:2] == ["enum", "EdgeOp"]
 
 
+def test_rule_named_enum_with_returns_is_a_parser_rule():
+    grammar = parse_grammar("enum returns X: 'a';")
+    assert isinstance(grammar, Grammar)
+    assert grammar.rules == (ParserRule("enum", "X", Keyword(text="a")),)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ParserRule("enum", "X", Keyword(text="a")),
+        ParserRule("enum", None, Keyword(text="a")),
+        ParserRule("enum", "returns", Keyword(text="a")),
+        ParserRule("E", "T", RuleCall(rule_name="A"), enum=True),
+        ParserRule("enum", "X", RuleCall(rule_name="A"), enum=True),
+        ParserRule("returns", None, RuleCall(rule_name="A"), enum=True),
+        ParserRule("returns", "T", RuleCall(rule_name="A"), enum=True),
+    ],
+    ids=[
+        "parser-enum-returns",
+        "parser-enum",
+        "parser-enum-returns-returns",
+        "enum-returns",
+        "enum-named-enum",
+        "enum-named-returns",
+        "enum-named-returns-returns",
+    ],
+)
+def test_enum_and_returns_readings_round_trip(rule):
+    grammar = Grammar(rules=(rule,))
+    printed = print_grammar(grammar)
+    assert parse_grammar(printed) == grammar
+    assert rule_signature(rule) == normalized_tokens(print_rule(rule))
+
+
 _GRAMMARISH = st.text(
     alphabet=st.sampled_from(list("abcXY_ ='\"(){}[]|?*+;:,=>\n\t/")), max_size=120
 )
@@ -488,12 +522,22 @@ def _reference_distance(a, b):
     return rows[len(a)][len(b)]
 
 
-_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "'{'", ";"]), max_size=8)
+#: A 2-token alphabet repeats tokens on almost every position; the 6-token
+#: one mixes repeats with mismatches.
+_ALPHABETS = (["a", "'{'"], ["a", "b", "c", "'{'", "'}'", ";"])
 
 
 @settings(max_examples=400, deadline=None)
-@given(prefix=_TOKENS, left=_TOKENS, right=_TOKENS, suffix=_TOKENS)
-def test_token_distance_matches_full_matrix(prefix, left, right, suffix):
+@given(data=st.data())
+def test_token_distance_matches_full_matrix(data):
+    """Spans of up to 150 tokens carry the bit vectors past 64 bits."""
+    alphabet = data.draw(st.sampled_from(_ALPHABETS))
+
+    def tokens(most: int) -> list[str]:
+        size = data.draw(st.integers(min_value=0, max_value=most))
+        return data.draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+
+    prefix, left, right, suffix = tokens(8), tokens(150), tokens(150), tokens(8)
     a, b = prefix + left + suffix, prefix + right + suffix
     assert token_distance(a, b) == _reference_distance(a, b)
     assert token_distance(left, right) == _reference_distance(left, right)

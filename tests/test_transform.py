@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import load_pair
-from xtadapt.model import Keyword, find_rule
+from corpus import PAIRS, _mutation_candidates, load_pair
+from xtadapt.model import Keyword, find_rule, grammar_problems
 from xtadapt.parsing import (
     grammar_body_tokens,
     parse_grammar,
@@ -14,7 +14,9 @@ from xtadapt.parsing import (
     rule_signature,
 )
 from xtadapt.transform import (
+    PHASE_OF,
     OpKind,
+    Scope,
     ScopeKind,
     TransformError,
     TransformOp,
@@ -422,3 +424,53 @@ def test_config_from_json_fails_closed(doc):
         apply_config(config, grammar)
     except TransformError:
         pass
+
+
+def _one_op_at_a_time(config, grammar):
+    """apply_config's definition: apply_single per entry, in phase order."""
+    ordered = sorted(config.entries, key=lambda entry: PHASE_OF[entry.kind])
+    outcomes = []
+    for entry in ordered:
+        grammar, matched = apply_single(entry, grammar)
+        outcomes.append((entry, matched))
+    problems = grammar_problems(grammar)
+    if problems:
+        raise TransformError("config application broke grammar invariants: " + "; ".join(problems))
+    return grammar, outcomes
+
+
+_BATCH_BASES = [load_pair(name)[0] for name, _ in PAIRS] + [
+    parse_grammar("A: 'a' a=ID ('{' b+=B (',' b+=B)* '}')?;\n\nB: 'b' name=ID;\n\nB: 'B' b=ID;")
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_config_equals_one_op_at_a_time(data):
+    """One pass over the rules gives the same grammar, match counts, outcome
+    order and first error as applying the entries one at a time."""
+    grammar = data.draw(st.sampled_from(_BATCH_BASES))
+    names = [rule.name for rule in grammar.rules] + ["Absent"]
+    extra = st.sampled_from(
+        [op(OpKind.REPLACE_RULE, rule_scope(n), remove=True) for n in names]
+        + [op(OpKind.REPLACE_RULE, rule_scope(n), body="'x' x=ID") for n in names]
+        + [op(OpKind.REPLACE_RULE, rule_scope(n), body="(((") for n in names]
+        + [op(OpKind.REPLACE_RULE, attribute_scope(n, "x"), body="'x'") for n in names]
+        + [op(OpKind.REMOVE_BRACES, Scope(ScopeKind.GRAMMAR))]
+        + [op(OpKind.REMOVE_KEYWORD, Scope(ScopeKind.GRAMMAR), text=t) for t in ("{", ",", "*")]
+        + [op(OpKind.ADD_OPTIONALITY, Scope(ScopeKind.GRAMMAR))]
+    )
+    entries = data.draw(
+        st.lists(st.sampled_from(_mutation_candidates(grammar)) | extra, max_size=10)
+    )
+    config = TransformationConfig(entries=tuple(entries))
+    try:
+        expected, outcomes = _one_op_at_a_time(config, grammar)
+    except TransformError as err:
+        with pytest.raises(TransformError) as raised:
+            apply_config(config, grammar)
+        assert str(raised.value) == str(err)
+        return
+    adapted, report = apply_config(config, grammar)
+    assert adapted == expected
+    assert [(o.op, o.matched) for o in report.outcomes] == outcomes
