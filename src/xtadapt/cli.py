@@ -47,7 +47,7 @@ class _InputError(Exception):
 def _load_grammar(path: str) -> Grammar:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read {path}: {err}") from err
     parsed = parse_grammar(text)
     if isinstance(parsed, Grammar):
@@ -61,7 +61,7 @@ def _load_terminals(path: str | None) -> frozenset[str]:
         return frozenset()
     try:
         return load_terminals_file(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read terminals file {path}: {err}") from err
 
 
@@ -72,7 +72,7 @@ def _make_backend(spec: str, model: str, credential_env: str):
             raise _InputError("--backend mock:FILE requires a replay file path")
         try:
             return MockBackend.from_replay_file(rest)
-        except (OSError, BackendError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, BackendError, json.JSONDecodeError) as err:
             raise _InputError(f"cannot load replay file {rest}: {err}") from err
     if kind == "http":
         if not rest:
@@ -103,7 +103,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     try:
         config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read config {args.config}: {err}") from err
     except TransformError as err:
         raise _InputError(str(err)) from err

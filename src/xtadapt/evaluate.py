@@ -22,6 +22,7 @@ from .model import (
     Keyword,
     ParserRule,
     RuleCall,
+    is_brace,
     walk,
 )
 from .parsing import rule_signature, token_distance
@@ -159,13 +160,9 @@ def _compare_rules(cand: _Signatures, target: _Signatures) -> list[RuleCompariso
     return comparisons
 
 
-def required_rules(g2: Grammar, target: Grammar) -> list[str]:
+def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
     """Names of rules that differ between the generated and target grammars,
     i.e. the rules requiring adaptation; absence on either side counts."""
-    return _required_rules(_Signatures(g2), _Signatures(target))
-
-
-def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
     names = list(g2.by_name)
     names.extend(n for n in target.by_name if n not in g2.by_name)
     return [n for n in names if g2.by_name.get(n) != target.by_name.get(n)]
@@ -225,11 +222,10 @@ def _rule_facts(rule: ParserRule):
     braces = 0
     cards = 0
     for _, node in walk(rule.body):
-        if isinstance(node, Keyword):
-            if node.text in ("{", "}"):
-                braces += 1
-            else:
-                keywords.append(node.text)
+        if is_brace(node):
+            braces += 1
+        elif isinstance(node, Keyword):
+            keywords.append(node.text)
         elif isinstance(node, Assignment):
             features.append(node.feature)
             operators.append((node.feature, node.operator))

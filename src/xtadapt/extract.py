@@ -24,6 +24,7 @@ from .model import (
     RuleCall,
     assignments_of,
     children_of,
+    is_brace,
     node_at,
     walk,
 )
@@ -33,6 +34,7 @@ from .transform import (
     OpKind,
     TransformOp,
     TransformationConfig,
+    _brace_region,
     apply_config,
     apply_single,
     attribute_scope,
@@ -93,23 +95,6 @@ def _body_children(rule: ParserRule) -> tuple[Expression, ...]:
     return body.children if isinstance(body, Group) else (body,)
 
 
-def _body_brace_info(rule: ParserRule) -> tuple[str, int] | None:
-    """('bare' | 'wrapped', index) of the rule-level brace region, if any."""
-    for i, child in enumerate(_body_children(rule)):
-        if isinstance(child, Keyword) and child.text == "{":
-            return "bare", i
-        if (
-            isinstance(child, Group)
-            and len(child.children) >= 2
-            and isinstance(child.children[0], Keyword)
-            and child.children[0].text == "{"
-            and isinstance(child.children[-1], Keyword)
-            and child.children[-1].text == "}"
-        ):
-            return "wrapped", i
-    return None
-
-
 @dataclass
 class _RuleFacts:
     """What every feature context of one rule shares, computed once."""
@@ -117,14 +102,14 @@ class _RuleFacts:
     rule: ParserRule
     paths: dict[str, list[Path]]  # assignment paths per feature, in feature order
     anchors: dict[str, list[Path]]
-    brace_info: tuple[str, int] | None
+    braces: tuple[int, bool] | None  # (index, wrapped) of the brace region
 
     @classmethod
     def of(cls, rule: ParserRule) -> _RuleFacts:
         paths: dict[str, list[Path]] = {}
         for path, assignment in assignments_of(rule):
             paths.setdefault(assignment.feature, []).append(path)
-        return cls(rule, paths, feature_anchors(rule), _body_brace_info(rule))
+        return cls(rule, paths, feature_anchors(rule), _brace_region(_body_children(rule)))
 
 
 def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
@@ -140,9 +125,9 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
     keyword_before: str | None = None
     for j in range(idx - 1, -1, -1):
         sib = siblings[j]
+        if is_brace(sib):
+            continue
         if isinstance(sib, Keyword):
-            if sib.text in ("{", "}"):
-                continue
             keyword_before = sib.text
         break
     if keyword_before == rule.name:
@@ -150,9 +135,7 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
         keyword_before = None
 
     region_nodes = [n for _, n in walk(anchor_node)]
-    has_braces = any(
-        isinstance(n, Keyword) and n.text in ("{", "}") for n in region_nodes
-    )
+    has_braces = any(is_brace(n) for n in region_nodes)
     separator = None
     has_repetition = False
     for n in region_nodes:
@@ -167,10 +150,9 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
         kids = anchor_node.children
         for i, child in enumerate(kids):
             if isinstance(child, Assignment) and child.feature == feature:
-                if i + 1 < len(kids) and isinstance(kids[i + 1], Keyword):
-                    nxt = kids[i + 1]
-                    if nxt.text not in ("{", "}"):
-                        terminators.append(nxt.text)
+                nxt = kids[i + 1] if i + 1 < len(kids) else None
+                if isinstance(nxt, Keyword) and not is_brace(nxt):
+                    terminators.append(nxt.text)
 
     calls: list[str | None] = []
     for p in paths:
@@ -179,8 +161,8 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
         calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
 
     before_braces = True
-    if facts.brace_info is not None and first:
-        before_braces = first[0] < facts.brace_info[1]
+    if facts.braces is not None and first:
+        before_braces = first[0] < facts.braces[0]
     return _FeatureContext(
         feature=feature,
         anchor_node=anchor_node,
@@ -199,14 +181,14 @@ def _keyword_texts(rule: ParserRule) -> list[str]:
     return [
         n.text
         for _, n in walk(rule.body)
-        if isinstance(n, Keyword) and n.text not in ("{", "}")
+        if isinstance(n, Keyword) and not is_brace(n)
     ]
 
 
 def _leading_keyword(rule: ParserRule) -> str | None:
     for child in _body_children(rule):
         if isinstance(child, Keyword):
-            return None if child.text in ("{", "}") else child.text
+            return None if is_brace(child) else child.text
         if isinstance(child, (Assignment, Group)):
             return None
     return None
@@ -276,9 +258,9 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
                 )
 
     # Rule-level structure.
-    src_brace, dst_brace = src_facts.brace_info, dst_facts.brace_info
-    if src_brace is not None and src_brace[0] == "bare":
-        if dst_brace is not None and dst_brace[0] == "wrapped":
+    src_brace, dst_brace = src_facts.braces, dst_facts.braces
+    if src_brace is not None and not src_brace[1]:
+        if dst_brace is not None and dst_brace[1]:
             add(OpKind.MAKE_BRACES_OPTIONAL, rule_scope(name))
         if dst_brace is None:
             add(OpKind.REMOVE_BRACES, rule_scope(name))

@@ -39,6 +39,11 @@ class Expression:
     cardinality: Cardinality = field(default=Cardinality.ONE, kw_only=True)
     predicated: bool = field(default=False, kw_only=True)
 
+    @property
+    def plain(self) -> bool:
+        """Neither a cardinality nor a predicate."""
+        return self.cardinality is Cardinality.ONE and not self.predicated
+
 
 @dataclass(frozen=True)
 class Keyword(Expression):
@@ -131,10 +136,6 @@ class Grammar:
         object.__setattr__(self, "declared_terminals", tuple(self.declared_terminals))
         object.__setattr__(self, "rules", tuple(self.rules))
 
-    @property
-    def rule_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.rules)
-
 
 ASSIGN_OPERATORS = ("=", "+=", "?=")
 
@@ -163,6 +164,32 @@ def with_children(expr: Expression, children: tuple[Expression, ...]) -> Express
     if children:
         raise ValueError(f"{type(expr).__name__} has no children")
     return expr
+
+
+def is_brace(expr: Expression) -> bool:
+    """Whether ``expr`` is a ``'{'`` or ``'}'`` keyword (an action's braces
+    are not keywords)."""
+    return isinstance(expr, Keyword) and (expr.text == "{" or expr.text == "}")
+
+
+def brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
+    """The brace region of a sequence: indices of its first balanced
+    ``'{'`` ... ``'}'`` keyword pair, or None.  A group is braced when its
+    span is ``(0, len(children) - 1)``, so ``('{' a '}' '{' b '}')`` is not."""
+    depth = 0
+    open_idx = -1
+    for i, child in enumerate(children):
+        if not isinstance(child, Keyword):
+            continue
+        if child.text == "{":
+            if depth == 0:
+                open_idx = i
+            depth += 1
+        elif child.text == "}":
+            depth -= 1
+            if depth == 0 and open_idx >= 0:
+                return open_idx, i
+    return None
 
 
 def walk(expr: Expression, path: Path = ()) -> Iterator[tuple[Path, Expression]]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .model import (
     ASSIGN_OPERATORS,
@@ -31,6 +30,8 @@ from .model import (
     ParserRule,
     RuleCall,
     TerminalDecl,
+    brace_span,
+    is_brace,
 )
 
 MAX_NESTING_DEPTH = 64
@@ -39,10 +40,6 @@ _HEADER_STARTS = ("grammar", "import", "generate")
 _PUNCT2 = ("=>", "+=", "?=")
 _CARD_SUFFIXES = {"?": Cardinality.OPTIONAL, "*": Cardinality.STAR, "+": Cardinality.PLUS}
 _INDENT = "    "
-
-
-class Severity(Enum):
-    ERROR = "ERROR"
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,10 @@ class SourceSpan:
 @dataclass(frozen=True)
 class ParseDiagnostic:
     span: SourceSpan
-    severity: Severity
     message: str
 
     def __str__(self) -> str:
-        return f"{self.span} {self.severity.value}: {self.message}"
+        return f"{self.span} ERROR: {self.message}"
 
 
 class TokenizeError(ValueError):
@@ -274,7 +270,7 @@ class _Parser:
         if span is None:
             tok = self.peek() or self.tokens[-1] if self.tokens else None
             span = tok.span if tok else SourceSpan(1, 1, 1, 1)
-        self.diagnostics.append(ParseDiagnostic(span, Severity.ERROR, message))
+        self.diagnostics.append(ParseDiagnostic(span, message))
 
     def abort(self, message: str, span: SourceSpan | None = None) -> None:
         self.error(message, span)
@@ -417,12 +413,7 @@ class _Parser:
             # singleton paren group must normalize here or the printed form
             # would re-parse to a different tree.
             element = elements[0]
-            while (
-                isinstance(element, Group)
-                and len(element.children) == 1
-                and element.cardinality is Cardinality.ONE
-                and not element.predicated
-            ):
+            while isinstance(element, Group) and len(element.children) == 1 and element.plain:
                 element = element.children[0]
             return element
         return Group(children=tuple(elements))
@@ -461,11 +452,7 @@ class _Parser:
             if closing is None or closing.text != ")":
                 self.abort("unbalanced '(': missing ')'", open_tok.span)
             self.next()
-            if (
-                isinstance(inner, (Alternatives, Group))
-                and inner.cardinality is Cardinality.ONE
-                and not inner.predicated
-            ):
+            if isinstance(inner, (Alternatives, Group)) and inner.plain:
                 return inner
             # The inner expression carries its own suffix or predicate, so
             # the parens are load-bearing: `(X?)?` must keep two levels.
@@ -565,15 +552,18 @@ def _grammar_name_from_header(header: str) -> str:
     return ""
 
 
+def _unix_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_grammar(source_text: str) -> Grammar | list[ParseDiagnostic]:
     """Parse grammar text; returns a Grammar or the error diagnostics."""
-    text = source_text.replace("\r\n", "\n").replace("\r", "\n")
-    header, remainder, first_line = _split_header(text)
+    header, remainder, first_line = _split_header(_unix_newlines(source_text))
     diagnostics: list[ParseDiagnostic] = []
     try:
         tokens = _lex(remainder, first_line=first_line)
     except TokenizeError as err:
-        return [ParseDiagnostic(err.span, Severity.ERROR, str(err))]
+        return [ParseDiagnostic(err.span, str(err))]
     parser = _Parser(tokens, diagnostics)
     rules, terminals = parser.parse_grammar_items()
     if diagnostics:
@@ -590,9 +580,9 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
     """Parse a bare rule body (no name, no trailing ';')."""
     diagnostics: list[ParseDiagnostic] = []
     try:
-        tokens = _lex(body_text)
+        tokens = _lex(_unix_newlines(body_text))
     except TokenizeError as err:
-        return [ParseDiagnostic(err.span, Severity.ERROR, str(err))]
+        return [ParseDiagnostic(err.span, str(err))]
     parser = _Parser(tokens, diagnostics)
     try:
         body = parser.parse_alternatives(depth=1)
@@ -601,52 +591,161 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
     if not parser.at_end():
         tok = parser.peek()
         assert tok is not None
-        diagnostics.append(
-            ParseDiagnostic(tok.span, Severity.ERROR, f"trailing input {tok.text!r} after body")
-        )
+        diagnostics.append(ParseDiagnostic(tok.span, f"trailing input {tok.text!r} after body"))
     return diagnostics or body
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Printing and comparison tokens
 # ---------------------------------------------------------------------------
 
 
-def _quote(kw: Keyword) -> str:
-    return f"{kw.quote}{kw.text}{kw.quote}"
+class UnprintableError(ValueError):
+    """A model value with no printing the parser reads back: a keyword that
+    fits in neither quote, a name the parser does not read at its position,
+    an odd assignment operator or an empty group."""
 
 
-def _is_brace_keyword(expr: Expression, which: str) -> bool:
-    return isinstance(expr, Keyword) and expr.text == which
+#: Keyword text that lexes as one string between a pair of the quote: no
+#: bare quote of that kind or line break, and each backslash escaping the next
+#: character but a carriage return (which parsing reads as a line break).
+_FITS_QUOTE = {q: re.compile(rf"(?:[^{q}\\\n\r]|\\[^\r])*") for q in "'\""}
+
+#: Token shape of a qualified name, ``i`` standing for one identifier.
+_QUALIFIED_SHAPE = re.compile(r"i(?:(?:::|\.)i)*")
 
 
-def _render_inline(expr: Expression, *, bare: bool = False) -> str:
-    """One-line rendering; ``bare`` drops the parens of a plain sequence
-    (allowed only where a delimiter follows: branch or body position)."""
-    prefix = "=> " if expr.predicated else ""
-    suffix = expr.cardinality.suffix
-    if isinstance(expr, Keyword):
-        return prefix + _quote(expr) + suffix
-    if isinstance(expr, RuleCall):
-        return prefix + expr.rule_name + suffix
-    if isinstance(expr, ActionAnnotation):
-        return prefix + "{" + expr.type_name + "}" + suffix
-    if isinstance(expr, CrossReference):
-        inner = expr.type_name
+def printable_keyword(text: str) -> bool:
+    """Whether a keyword with ``text`` prints: in one quote or the other."""
+    return any(fits.fullmatch(text) for fits in _FITS_QUOTE.values())
+
+
+def _keyword_token(kw: Keyword, normalized: bool) -> str:
+    """``kw`` in its own quote if its text fits there, else in the other;
+    ``normalized`` gives the comparison form ``'text'``."""
+    text = kw.text
+    quote = '"' if kw.quote == '"' else "'"
+    if not _FITS_QUOTE[quote].fullmatch(text):
+        quote = "'" if quote == '"' else '"'
+        if not _FITS_QUOTE[quote].fullmatch(text):
+            raise UnprintableError(f"keyword {text!r} fits in neither quote")
+    return "'" + text + "'" if normalized else quote + text + quote
+
+
+def _name(name: str, out: list[str], qualified: bool = False) -> None:
+    """Append the tokens of a name the parser reads: one identifier, or with
+    ``qualified`` identifiers joined by ``::`` or ``.``."""
+    if name.isascii() and name.isidentifier():  # one lexer identifier
+        out.append(name)
+        return
+    try:
+        tokens = _lex(name)
+    except TokenizeError:
+        tokens = []
+    shape = "".join("i" if t.kind == "ident" else t.text for t in tokens)
+    if "".join(t.text for t in tokens) != name or not (
+        _QUALIFIED_SHAPE.fullmatch(shape) if qualified else shape == "i"
+    ):
+        raise UnprintableError(f"{name!r} is not a name the parser reads")
+    out.extend(t.text for t in tokens)
+
+
+def printable_name(name: str) -> bool:
+    """Whether ``name`` prints as a rule call or a ``returns`` type."""
+    try:
+        _name(name, [], qualified=True)
+    except UnprintableError:
+        return False
+    return True
+
+
+def _walk(expr: Expression, out: list[str], spaced: bool, bare: bool = False) -> None:
+    """Append the tokens of ``expr`` printed on one line, each one ``_lex``
+    token.  Printing passes ``spaced``: the spaces between tokens are
+    appended too and keywords keep their printed quote; signing does not,
+    and keywords take their comparison form.  ``bare`` drops the parens of a
+    plain sequence, allowed where a delimiter follows: branch or body."""
+    if expr.predicated:
+        out.append("=>")
+        if spaced:
+            out.append(" ")
+    kind = type(expr)
+    if kind is Keyword:
+        text = expr.text
+        if "'" in text or '"' in text or "\\" in text or "\n" in text or "\r" in text:
+            out.append(_keyword_token(expr, not spaced))
+        else:  # fits either quote
+            out.append('"' + text + '"' if spaced and expr.quote == '"' else "'" + text + "'")
+    elif kind is Assignment:
+        _name(expr.feature, out)
+        if expr.operator not in ASSIGN_OPERATORS:
+            raise UnprintableError(f"bad assignment operator {expr.operator!r}")
+        out.append(expr.operator)
+        _walk(expr.terminal, out, spaced)
+    elif kind is RuleCall:
+        _name(expr.rule_name, out, qualified=True)
+    elif kind is Group:
+        if not expr.children:
+            raise UnprintableError("empty group")
+        plain = bare and expr.plain
+        if not plain:
+            out.append("(")
+        if spaced:
+            for i, child in enumerate(expr.children):
+                if i:
+                    out.append(" ")
+                _walk(child, out, True)
+        else:
+            for child in expr.children:
+                _walk(child, out, False)
+        if not plain:
+            out.append(")")
+    elif kind is Alternatives:
+        if not expr.branches:
+            raise UnprintableError("empty alternatives")
+        out.append("(")
+        _branches(expr.branches, out, spaced)
+        out.append(")")
+    elif kind is CrossReference:
+        out.append("[")
+        if expr.type_name:
+            _name(expr.type_name, out, qualified=True)
         if expr.terminal_name is not None:
-            inner += "|" + expr.terminal_name
-        return prefix + "[" + inner + "]" + suffix
-    if isinstance(expr, Assignment):
-        return prefix + expr.feature + expr.operator + _render_inline(expr.terminal) + suffix
-    if isinstance(expr, Group):
-        body = " ".join(_render_inline(c) for c in expr.children)
-        if bare and expr.cardinality is Cardinality.ONE and not expr.predicated:
-            return body
-        return prefix + "(" + body + ")" + suffix
-    if isinstance(expr, Alternatives):
-        body = " | ".join(_render_inline(b, bare=True) for b in expr.branches)
-        return prefix + "(" + body + ")" + suffix
-    raise TypeError(f"cannot render {type(expr).__name__}")
+            out.append("|")
+            _name(expr.terminal_name, out)
+        out.append("]")
+    elif kind is ActionAnnotation:
+        out.append("{")
+        _name(expr.type_name, out)
+        out.append("}")
+    else:
+        raise UnprintableError(f"cannot print {kind.__name__}")
+    if expr.cardinality is not Cardinality.ONE:
+        out.append(expr.cardinality.value)
+
+
+def _branches(branches: tuple[Expression, ...], out: list[str], spaced: bool) -> None:
+    for i, branch in enumerate(branches):
+        if i:
+            out.extend((" ", "|", " ") if spaced else ("|",))
+        _walk(branch, out, spaced, bare=True)
+
+
+def _head(rule: ParserRule, out: list[str], spaced: bool) -> None:
+    """Append the tokens of ``[enum] Name [returns Type]:``."""
+    if rule.enum:
+        out.extend(("enum", " ") if spaced else ("enum",))
+    _name(rule.name, out)
+    if rule.returns_type:
+        out.extend((" ", "returns", " ") if spaced else ("returns",))
+        _name(rule.returns_type, out, qualified=True)
+    out.append(":")
+
+
+def _render_inline(expr: Expression, bare: bool = False) -> str:
+    out: list[str] = []
+    _walk(expr, out, True, bare)
+    return "".join(out)
 
 
 def render_body_inline(expr: Expression) -> str:
@@ -658,9 +757,7 @@ def _is_braced_group(expr: Expression) -> bool:
     return (
         isinstance(expr, Group)
         and not expr.predicated
-        and len(expr.children) >= 2
-        and _is_brace_keyword(expr.children[0], "{")
-        and _is_brace_keyword(expr.children[-1], "}")
+        and brace_span(expr.children) == (0, len(expr.children) - 1)
     )
 
 
@@ -670,67 +767,70 @@ def _sequence_lines(children: tuple[Expression, ...], indent: int) -> list[str]:
     i = 0
     while i < len(children):
         child = children[i]
-        if _is_brace_keyword(child, "}"):
+        brace = child.text if is_brace(child) else None
+        if brace == "}":
             level = max(indent, level - 1)
         if _is_braced_group(child):
             lines.extend(_braced_group_lines(child, level))
         elif (
             isinstance(child, Keyword)
-            and child.text not in ("{", "}")
+            and brace is None
             and i + 1 < len(children)
             and isinstance(children[i + 1], Assignment)
         ):
             # Generated grammars pair each attribute with its keyword; keep
             # the pair on one line.
-            lines.append(
-                _INDENT * level
-                + _render_inline(child)
-                + " "
-                + _render_inline(children[i + 1])
-            )
+            pair = _render_inline(child) + " " + _render_inline(children[i + 1])
+            lines.append(_INDENT * level + pair)
             i += 1
         else:
             lines.append(_INDENT * level + _render_inline(child))
-        if _is_brace_keyword(child, "{"):
+        if brace == "{":
             level += 1
         i += 1
     return lines
 
 
 def _braced_group_lines(group: Group, indent: int) -> list[str]:
-    first = group.children[0]
-    last = group.children[-1]
-    assert isinstance(first, Keyword) and isinstance(last, Keyword)
+    first, *inner, last = group.children
     lines = [_INDENT * indent + "(" + _render_inline(first)]
-    lines.extend(_sequence_lines(group.children[1:-1], indent + 1))
+    lines.extend(_sequence_lines(tuple(inner), indent + 1))
     lines.append(_INDENT * indent + _render_inline(last) + ")" + group.cardinality.suffix)
     return lines
 
 
 def _body_lines(body: Expression) -> list[str]:
-    if isinstance(body, Group) and body.cardinality is Cardinality.ONE and not body.predicated:
+    if isinstance(body, Group) and body.children and body.plain:
         return _sequence_lines(body.children, 1)
-    if (
-        isinstance(body, Alternatives)
-        and body.cardinality is Cardinality.ONE
-        and not body.predicated
-    ):
-        lines = []
-        for i, branch in enumerate(body.branches):
-            prefix = "" if i == 0 else "| "
-            lines.append(_INDENT + prefix + _render_inline(branch, bare=True))
-        return lines
+    if isinstance(body, Alternatives) and body.branches and body.plain:
+        return [
+            _INDENT + ("| " if i else "") + _render_inline(branch, bare=True)
+            for i, branch in enumerate(body.branches)
+        ]
     return [_INDENT + _render_inline(body, bare=True)]
 
 
 def print_rule(rule: ParserRule) -> str:
-    head = "enum " + rule.name if rule.enum else rule.name
-    if rule.returns_type:
-        head += f" returns {rule.returns_type}"
-    head += ":"
+    head: list[str] = []
+    _head(rule, head, True)
     lines = _body_lines(rule.body)
     lines[-1] += ";"
-    return "\n".join([head] + lines)
+    return "\n".join(["".join(head)] + lines)
+
+
+def rule_signature(rule: ParserRule) -> list[str]:
+    """Comparison token stream of a rule: ``normalized_tokens(print_rule(rule))``,
+    from the printer's own token walk without its line layout.  A rule that
+    does not print raises the printer's UnprintableError."""
+    out: list[str] = []
+    _head(rule, out, False)
+    body = rule.body
+    if type(body) is Alternatives and body.branches and body.plain:
+        _branches(body.branches, out, False)  # printed one branch per line
+    else:
+        _walk(body, out, False, bare=True)
+    out.append(";")
+    return out
 
 
 def _print_terminal(term: TerminalDecl) -> str:
@@ -749,126 +849,3 @@ def print_grammar(grammar: Grammar) -> str:
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Comparison tokens
-# ---------------------------------------------------------------------------
-
-#: Identifier parts joined by ``::`` or ``.``: the lexer splits such a name
-#: the same way wherever the printer puts it.
-_QUALIFIED_NAME = re.compile(r"[A-Za-z_]\w*(?:(?:::|\.)[A-Za-z_]\w*)*", re.ASCII)
-
-
-class _NeedsPrinting(Exception):
-    """Internal: a piece whose tokens may depend on its printed neighbours."""
-
-
-def _emit_name(name: str, out: list[str]) -> None:
-    if name.isascii() and name.isidentifier():
-        out.append(name)
-    elif _QUALIFIED_NAME.fullmatch(name):
-        out.extend(tokenize(name))
-    else:
-        raise _NeedsPrinting
-
-
-def _emit(expr: Expression, out: list[str], bare: bool = False) -> None:
-    """Append the comparison tokens of ``_render_inline(expr, bare=bare)``."""
-    if expr.predicated:
-        out.append("=>")
-    kind = type(expr)
-    if kind is Keyword:
-        quote, text = expr.quote, expr.text
-        if quote not in ("'", '"') or quote in text or "\\" in text or "\n" in text:
-            raise _NeedsPrinting
-        out.append("'" + text + "'")
-    elif kind is Assignment:
-        if expr.operator not in ASSIGN_OPERATORS:
-            raise _NeedsPrinting
-        _emit_name(expr.feature, out)
-        out.append(expr.operator)
-        _emit(expr.terminal, out)
-    elif kind is RuleCall:
-        _emit_name(expr.rule_name, out)
-    elif kind is Group:
-        plain = bare and expr.cardinality is Cardinality.ONE and not expr.predicated
-        if not plain:
-            out.append("(")
-        for child in expr.children:
-            _emit(child, out)
-        if not plain:
-            out.append(")")
-    elif kind is Alternatives:
-        out.append("(")
-        _emit_branches(expr.branches, out)
-        out.append(")")
-    elif kind is CrossReference:
-        out.append("[")
-        if expr.type_name:
-            _emit_name(expr.type_name, out)
-        if expr.terminal_name is not None:
-            out.append("|")
-            _emit_name(expr.terminal_name, out)
-        out.append("]")
-    elif kind is ActionAnnotation:
-        out.append("{")
-        _emit_name(expr.type_name, out)
-        out.append("}")
-    else:
-        raise _NeedsPrinting
-    if expr.cardinality is not Cardinality.ONE:
-        out.append(expr.cardinality.value)
-
-
-def _emit_branches(branches: tuple[Expression, ...], out: list[str]) -> None:
-    for i, branch in enumerate(branches):
-        if i:
-            out.append("|")
-        _emit(branch, out, bare=True)
-
-
-def rule_signature(rule: ParserRule) -> list[str]:
-    """Comparison token stream of a rule: ``normalized_tokens(print_rule(rule))``.
-
-    The tokens are built from the model in one walk that mirrors the
-    printer; a rule holding a name or keyword the lexer might split
-    differently in context is printed and lexed instead.
-    """
-    out: list[str] = ["enum"] if rule.enum else []
-    body = rule.body
-    try:
-        _emit_name(rule.name, out)
-        if rule.returns_type:
-            out.append("returns")
-            _emit_name(rule.returns_type, out)
-        out.append(":")
-        if (
-            type(body) in (Group, Alternatives)
-            and body.cardinality is Cardinality.ONE
-            and not body.predicated
-        ):
-            # Printed bare, one element or branch per line.
-            if isinstance(body, Group) and body.children:
-                for child in body.children:
-                    _emit(child, out)
-            elif isinstance(body, Alternatives) and body.branches:
-                _emit_branches(body.branches, out)
-            else:
-                raise _NeedsPrinting  # the printer rejects an empty body
-        else:
-            _emit(body, out, bare=True)
-    except _NeedsPrinting:
-        return normalized_tokens(print_rule(rule))
-    out.append(";")
-    return out
-
-
-def grammar_body_tokens(grammar: Grammar) -> list[str]:
-    """Comparison tokens of all rules and terminals, header excluded."""
-    tokens: list[str] = []
-    for rule in grammar.rules:
-        tokens.extend(rule_signature(rule))
-    for term in grammar.declared_terminals:
-        tokens.extend(normalized_tokens(_print_terminal(term)))
-    return tokens

@@ -26,13 +26,15 @@ from .model import (
     Path,
     RuleCall,
     assignments_of,
+    brace_span,
     children_of,
     grammar_problems,
+    is_brace,
     node_at,
     walk,
     with_children,
 )
-from .parsing import parse_rule_body
+from .parsing import parse_rule_body, printable_keyword, printable_name
 
 
 class TransformError(Exception):
@@ -232,10 +234,9 @@ def _is_region(group: Group, feature: str, is_body: bool) -> bool:
     # keyword-braces-content idiom, where the assignment sits right next to
     # them; a braces wrapper around a finished sub-group is rule structure,
     # not part of the attribute.
-    has_brace_child = any(
-        isinstance(c, Keyword) and c.text in ("{", "}") for c in group.children
+    return not any(is_brace(c) for c in group.children) or any(
+        isinstance(c, Assignment) for c in group.children
     )
-    return not has_brace_child or any(isinstance(c, Assignment) for c in group.children)
 
 
 def _is_word(text: str) -> bool:
@@ -260,8 +261,9 @@ def _path_within(path: Path, anchors: Iterable[Path]) -> bool:
 def _collapse(expr: Expression, shrunk: bool) -> Expression | None:
     """Drop emptied nodes and unwrap plain singletons after removals.
 
-    A single-branch Alternatives that keeps a cardinality turns into a Group
-    so that its printed form re-parses to the same structure.
+    A singleton that keeps a cardinality or predicate takes the shape its
+    printed form re-parses to: the marks move onto a sole plain group, and a
+    single-branch Alternatives turns into a Group.
     """
     if not shrunk or not isinstance(expr, (Group, Alternatives)):
         return expr
@@ -269,14 +271,14 @@ def _collapse(expr: Expression, shrunk: bool) -> Expression | None:
     if not kids:
         return None
     if len(kids) == 1:
-        if expr.cardinality is Cardinality.ONE and not expr.predicated:
-            return kids[0]
+        only = kids[0]
+        if expr.plain:
+            return only
+        marks = {"cardinality": expr.cardinality, "predicated": expr.predicated}
+        if isinstance(only, (Group, Alternatives)) and only.plain:
+            return replace(only, **marks)  # ``((a b))?`` reads back as ``(a b)?``
         if isinstance(expr, Alternatives):
-            return Group(
-                children=kids,
-                cardinality=expr.cardinality,
-                predicated=expr.predicated,
-            )
+            return Group(children=kids, **marks)
     return expr
 
 
@@ -328,19 +330,17 @@ def _rewrite_nodes(expr: Expression, path: Path, fn) -> tuple[Expression, int]:
     return expr, matched
 
 
-def _matching_brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
-    """Indices of the first balanced '{' ... '}' keyword pair, or None."""
-    depth = 0
-    open_idx = -1
+def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
+    """Index of the rule-level brace region among a body's children, and
+    whether a group wraps it (as MAKE_BRACES_OPTIONAL leaves it): the first
+    child that opens the children's ``brace_span``, or a group whose own
+    ``brace_span`` covers all of it."""
+    span = brace_span(children)
     for i, child in enumerate(children):
-        if isinstance(child, Keyword) and child.text == "{":
-            if depth == 0:
-                open_idx = i
-            depth += 1
-        elif isinstance(child, Keyword) and child.text == "}":
-            depth -= 1
-            if depth == 0 and open_idx >= 0:
-                return open_idx, i
+        if span is not None and i == span[0]:
+            return i, False
+        if isinstance(child, Group) and brace_span(child.children) == (0, len(child.children) - 1):
+            return i, True
     return None
 
 
@@ -374,8 +374,6 @@ def _keyword_feature_context(rule: ParserRule) -> dict[Path, str]:
 def _apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     text = op.param("text")
     anchors = _scope_anchor_paths(rule, op.scope)
-    if not anchors:
-        return rule, 0
     kw_features = _keyword_feature_context(rule) if text == ANY_KEYWORD else {}
     feature = op.scope.feature
 
@@ -409,8 +407,6 @@ def _apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
 def _apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
     anchors = _scope_anchor_paths(rule, op.scope)
-    if not anchors:
-        return rule, 0
 
     def fn(node: Expression, path: Path):
         if (
@@ -436,8 +432,6 @@ def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
 
 def _apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     anchors = _scope_anchor_paths(rule, op.scope)
-    if not anchors:
-        return rule, 0
 
     def editor(node: Expression, path: Path):
         if not isinstance(node, Group):
@@ -445,7 +439,7 @@ def _apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserRule,
         kids = children_of(node)
         if not _path_within(path, anchors):
             return None, 0
-        span = _matching_brace_span(kids)
+        span = brace_span(kids)
         if span is None:
             return None, 0
         lo, hi = span
@@ -484,8 +478,6 @@ def _apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRu
     old = str(op.param("from"))
     new = op.param("to")  # None means: drop the separator
     anchors = _scope_anchor_paths(rule, op.scope)
-    if not anchors:
-        return rule, 0
 
     def fn(node: Expression, path: Path):
         if (
@@ -548,8 +540,6 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
 def _apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
     anchors = _scope_anchor_paths(rule, op.scope)
-    if not anchors:
-        return rule, 0
 
     def fn(node: Expression, path: Path):
         if (
@@ -585,7 +575,7 @@ def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserR
     kids = list(children_of(parent))
     idx = first[-1]
     remove = {idx}
-    if idx > 0 and isinstance(kids[idx - 1], Keyword) and kids[idx - 1].text not in ("{", "}"):
+    if idx > 0 and isinstance(kids[idx - 1], Keyword) and not is_brace(kids[idx - 1]):
         remove.add(idx - 1)
     kept = [c for i, c in enumerate(kids) if i not in remove]
     new_parent = with_children(parent, tuple(kept))
@@ -602,17 +592,11 @@ def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserR
     else:
         body = _replace_at(body, parent_path, new_parent)
 
-    # Insert before the top-level braces (or their optional wrapper), i.e.
-    # right after the rule's leading keyword.
+    # Insert before the brace region, i.e. right after the rule's leading
+    # keyword.
     assert isinstance(body, Group)
-    insert_at = len(body.children)
-    for i, child in enumerate(body.children):
-        if isinstance(child, Keyword) and child.text == "{":
-            insert_at = i
-            break
-        if isinstance(child, Group) and _matching_brace_span(child.children) is not None:
-            insert_at = i
-            break
+    region = _brace_region(body.children)
+    insert_at = len(body.children) if region is None else region[0]
     promoted = replace(assignment, predicated=False)
     new_children = body.children[:insert_at] + (promoted,) + body.children[insert_at:]
     return replace(rule, body=replace(body, children=new_children)), 1
@@ -622,7 +606,7 @@ def _apply_make_braces_optional(rule: ParserRule, op: TransformOp) -> tuple[Pars
     body = rule.body
     if not isinstance(body, Group):
         return rule, 0
-    span = _matching_brace_span(body.children)
+    span = brace_span(body.children)
     if span is None:
         return rule, 0
     lo, hi = span
@@ -778,6 +762,16 @@ _STRING_PARAMS: dict[OpKind, tuple[str, ...]] = {
 }
 
 
+#: The param each kind writes into the rule as a keyword or a rule name,
+#: checked with the printer's own predicate: a config that loads prints.
+_WRITTEN = {
+    OpKind.RENAME_KEYWORD: ("to", printable_keyword),
+    OpKind.ADD_TERMINATOR: ("text", printable_keyword),
+    OpKind.CHANGE_SEPARATOR: ("to", printable_keyword),
+    OpKind.CHANGE_CALLED_RULE: ("to", printable_name),
+}
+
+
 def _params_problem(kind: OpKind, params: dict) -> str | None:
     """Why ``params`` cannot drive an op of ``kind``, or None."""
     for name in _STRING_PARAMS.get(kind, ()):
@@ -791,8 +785,16 @@ def _params_problem(kind: OpKind, params: dict) -> str | None:
             return "REPLACE_RULE 'remove' and 'enum' must be true or false"
         if not remove and not isinstance(params.get("body"), str):
             return "REPLACE_RULE needs a string 'body' param or 'remove': true"
-        if not isinstance(params.get("returns", ""), str):
+        returns = params.get("returns", "")  # an empty one drops the clause
+        if not isinstance(returns, str):
             return "REPLACE_RULE 'returns' must be a string"
+        if returns and not printable_name(returns):
+            return f"REPLACE_RULE 'returns' {returns!r} cannot be printed"
+    if kind in _WRITTEN:
+        name, printable = _WRITTEN[kind]
+        value = params.get(name)
+        if value is not None and not printable(value):
+            return f"{kind.value} {name!r} {value!r} cannot be printed"
     return None
 
 

@@ -15,7 +15,7 @@ from xtadapt.model import (
     node_at,
     walk,
 )
-from xtadapt.parsing import parse_grammar
+from xtadapt.parsing import normalized_tokens, parse_grammar, print_grammar, rule_signature
 from xtadapt.transform import (
     OpKind,
     TransformOp,
@@ -27,6 +27,15 @@ from xtadapt.transform import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def grammar_body_tokens(grammar: Grammar) -> list[str]:
+    """Comparison tokens of all rules and terminals, header excluded."""
+    tokens: list[str] = []
+    for rule in grammar.rules:
+        tokens.extend(rule_signature(rule))
+    terminals = Grammar(declared_terminals=grammar.declared_terminals)
+    return tokens + normalized_tokens(print_grammar(terminals))
 
 #: (pair name, catalog-expressible) — expressible pairs must extract with
 #: fallbackCount 0; the others exercise the REPLACE_RULE fallback.

@@ -20,6 +20,7 @@ from corpus import (
     build_trio,
     corpus_grammars,
     corpus_pairs,
+    grammar_body_tokens,
     load_grammar,
     load_pair,
     random_mutation_pair,
@@ -40,7 +41,6 @@ from xtadapt.llm import (
 )
 from xtadapt.model import Alternatives, Assignment, Grammar, walk
 from xtadapt.parsing import (
-    grammar_body_tokens,
     normalized_tokens,
     parse_grammar,
     print_grammar,

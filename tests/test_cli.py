@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from corpus import FIXTURES, load_grammar, read_fixture
+from corpus import FIXTURES, grammar_body_tokens, load_grammar, read_fixture
 from xtadapt.cli import main
 from xtadapt.model import Grammar
-from xtadapt.parsing import grammar_body_tokens, parse_grammar, print_grammar
+from xtadapt.parsing import parse_grammar, print_grammar
 
 MISSION_G1 = str(FIXTURES / "mission_generated.xtext")
 MISSION_G1P = str(FIXTURES / "mission_target.xtext")
@@ -145,6 +145,60 @@ def test_apply_config_missing_params_exit_2(tmp_path, capsys, entry, fragment):
     err = capsys.readouterr().err
     assert err == f"entry 0: {fragment}\n"
     assert not out.exists()
+
+
+def _apply_to(tmp_path, grammar_text, entry):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    g2 = tmp_path / "g2.xtext"
+    g2.write_text(grammar_text, encoding="utf-8")
+    out = tmp_path / "o.xtext"
+    return main(["apply", "--config", str(config), "--g2", str(g2), "--out", str(out)]), out
+
+
+def test_apply_rejects_a_called_rule_that_would_print_as_two(tmp_path, capsys):
+    entry = {"kind": "CHANGE_CALLED_RULE", "scope": {"kind": "RULE", "rule": "A"},
+             "params": {"from": "ID", "to": "x y"}}
+    code, out = _apply_to(tmp_path, "A: 'a' v=ID;\n", entry)
+    assert code == 2
+    assert capsys.readouterr().err == "entry 0: CHANGE_CALLED_RULE 'to' 'x y' cannot be printed\n"
+    assert not out.exists()
+
+
+def test_apply_prints_a_renamed_keyword_in_the_other_quote(tmp_path):
+    entry = {"kind": "RENAME_KEYWORD", "scope": {"kind": "RULE", "rule": "A"},
+             "params": {"from": "x", "to": "a'b"}}
+    code, out = _apply_to(tmp_path, "A: 'x' v=ID;\n", entry)
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    assert "\"a'b\"" in text
+    adapted = parse_grammar(text)
+    assert isinstance(adapted, Grammar)
+    assert adapted.rules[0].body.children[0].text == "a'b"
+
+
+#: One command per loader, each reading the undecodable file ``BAD``.
+_NON_UTF8_READS = {
+    "grammar": ["check", "BAD"],
+    "terminals": ["check", MISSION_G1, "--terminals", "BAD"],
+    "config": ["apply", "--config", "BAD", "--g2", MISSION_G1, "--out", "OUT"],
+    "replay": ["adapt", "--g1", MISSION_G1, "--g1-prime", MISSION_G1P, "--g2", MISSION_G1,
+               "--backend", "mock:BAD", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("loader", sorted(_NON_UTF8_READS))
+def test_non_utf8_input_exit_2(tmp_path, capsys, loader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"grammar \xff\n")
+    argv = [
+        a.replace("BAD", str(bad)).replace("OUT", str(tmp_path / "out"))
+        for a in _NON_UTF8_READS[loader]
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert len(err.splitlines()) == 1
 
 
 # -- adapt --------------------------------------------------------------------

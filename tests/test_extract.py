@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from corpus import (
     PAIRS,
     corpus_pairs,
+    grammar_body_tokens,
     load_grammar,
     load_pair,
     random_mutation_pair,
@@ -14,7 +15,7 @@ from corpus import (
 )
 from xtadapt.extract import extract_config, infer_rule_ops, pair_rules
 from xtadapt.model import Grammar
-from xtadapt.parsing import grammar_body_tokens, parse_grammar, print_grammar
+from xtadapt.parsing import parse_grammar, print_grammar
 from xtadapt.transform import OpKind, apply_config
 
 

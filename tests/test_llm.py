@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corpus import load_grammar, load_pair
+from corpus import grammar_body_tokens, load_grammar, load_pair
 from xtadapt.llm import (
     FOLLOW_UP_TEXT,
     MAX_FOLLOW_UPS,
@@ -21,7 +21,7 @@ from xtadapt.llm import (
     save_transcript,
 )
 from xtadapt.model import Grammar
-from xtadapt.parsing import grammar_body_tokens, print_grammar
+from xtadapt.parsing import print_grammar
 
 MISSION_TERMINALS = frozenset({"Identifier", "UUID", "String0", "Comment"})
 

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import load_grammar
 from xtadapt.model import (
@@ -12,11 +14,15 @@ from xtadapt.model import (
     ParserRule,
     RuleCall,
     assignments_of,
+    brace_span,
     find_rule,
     grammar_problems,
+    is_brace,
     node_at,
     walk,
 )
+from xtadapt.parsing import _is_braced_group
+from xtadapt.transform import _brace_region
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +114,128 @@ def test_grammar_problems_flags_duplicates_and_empty_groups():
 
 def test_grammar_problems_empty_for_corpus(mission):
     assert grammar_problems(mission) == []
+
+
+# -- brace region -------------------------------------------------------------
+# The four brace-region helpers that brace_span replaced, kept as references.
+
+
+def _ref_matching_brace_span(children):
+    depth = 0
+    open_idx = -1
+    for i, child in enumerate(children):
+        if isinstance(child, Keyword) and child.text == "{":
+            if depth == 0:
+                open_idx = i
+            depth += 1
+        elif isinstance(child, Keyword) and child.text == "}":
+            depth -= 1
+            if depth == 0 and open_idx >= 0:
+                return open_idx, i
+    return None
+
+
+def _ref_is_braced_group(expr):
+    return (
+        isinstance(expr, Group)
+        and not expr.predicated
+        and len(expr.children) >= 2
+        and isinstance(expr.children[0], Keyword)
+        and expr.children[0].text == "{"
+        and isinstance(expr.children[-1], Keyword)
+        and expr.children[-1].text == "}"
+    )
+
+
+def _ref_body_brace_info(children):
+    for i, child in enumerate(children):
+        if isinstance(child, Keyword) and child.text == "{":
+            return "bare", i
+        if (
+            isinstance(child, Group)
+            and len(child.children) >= 2
+            and isinstance(child.children[0], Keyword)
+            and child.children[0].text == "{"
+            and isinstance(child.children[-1], Keyword)
+            and child.children[-1].text == "}"
+        ):
+            return "wrapped", i
+    return None
+
+
+def _ref_promote_insert_at(children):
+    for i, child in enumerate(children):
+        if isinstance(child, Keyword) and child.text == "{":
+            return i
+        if isinstance(child, Group) and _ref_matching_brace_span(child.children) is not None:
+            return i
+    return len(children)
+
+
+def _balanced(children):
+    """Every brace keyword closes one opened before it, and all close."""
+    depth = 0
+    for child in children:
+        if is_brace(child):
+            depth += 1 if child.text == "{" else -1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+def _opens_and_closes_with_braces(group):
+    kids = group.children
+    return len(kids) >= 2 and is_brace(kids[0]) and kids[0].text == "{" and is_brace(kids[-1]) and kids[-1].text == "}"
+
+
+def _first_brace_closes_early(group):
+    """The divergent shape ``('{' a '}' '{' b '}')``: a group that opens with
+    '{' and closes with '}' whose first '{' is not closed by the last '}'."""
+    return _opens_and_closes_with_braces(group) and not _balanced(group.children[1:-1])
+
+
+_BRACE_LEAF = st.sampled_from(
+    [Keyword(text="{"), Keyword(text="}"), Keyword(text="a"), RuleCall(rule_name="ID"), Assignment(feature="x")]
+)
+_BRACE_GROUP = st.builds(
+    lambda kids, card, pred: Group(children=tuple(kids), cardinality=card, predicated=pred),
+    st.lists(_BRACE_LEAF, max_size=6),
+    st.sampled_from(list(Cardinality)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(children=st.lists(_BRACE_LEAF | _BRACE_GROUP, max_size=8).map(tuple))
+def test_brace_span_agrees_with_the_four_old_helpers(children):
+    """brace_span is the old matching-pair scan everywhere.  The braced-group
+    test, the rule-level region and promote's insertion point agree with
+    their old helpers except on the divergent shapes: a group whose first
+    '{' the last '}' does not close, braces that do not balance among the
+    rule's children, and (promote only) a group holding braces that it does
+    not open and close with."""
+    assert brace_span(children) == _ref_matching_brace_span(children)
+    groups = [c for c in children if isinstance(c, Group)]
+    for group in groups:
+        assert brace_span(group.children) == _ref_matching_brace_span(group.children)
+        if not _first_brace_closes_early(group):
+            assert _is_braced_group(group) == _ref_is_braced_group(group)
+    if not _balanced(children) or any(_first_brace_closes_early(g) for g in groups):
+        return
+    region = _brace_region(children)
+    old = _ref_body_brace_info(children)
+    assert region == (None if old is None else (old[1], old[0] == "wrapped"))
+    if any(any(map(is_brace, g.children)) and not _opens_and_closes_with_braces(g) for g in groups):
+        return
+    assert (len(children) if region is None else region[0]) == _ref_promote_insert_at(children)
+
+
+def test_group_with_two_brace_pairs_is_not_braced():
+    """The answer pinned on the divergent shape ``('{' a '}' '{' b '}')``:
+    its brace region is the first pair only, so it is not a braced group,
+    and no rule-level brace region."""
+    a, b = RuleCall(rule_name="a"), RuleCall(rule_name="b")
+    group = Group(children=(Keyword(text="{"), a, Keyword(text="}"), Keyword(text="{"), b, Keyword(text="}")))
+    assert brace_span(group.children) == (0, 2)
+    assert not _is_braced_group(group)
+    assert _brace_region((Keyword(text="k"), group)) is None

@@ -23,6 +23,7 @@ from xtadapt.model import (
 from xtadapt.parsing import (
     ParseDiagnostic,
     TokenizeError,
+    UnprintableError,
     normalized_tokens,
     parse_grammar,
     parse_rule_body,
@@ -272,6 +273,78 @@ def test_enum_and_returns_readings_round_trip(rule):
     printed = print_grammar(grammar)
     assert parse_grammar(printed) == grammar
     assert rule_signature(rule) == normalized_tokens(print_rule(rule))
+
+
+def test_names_the_parser_reads_print_and_reparse():
+    """Unicode, digit-led and qualified names print as the lexer reads them."""
+    body = Group(
+        children=(
+            Keyword(text="k"),
+            Assignment(feature="ñ", terminal=RuleCall(rule_name="1.5")),
+            Assignment(feature="x", operator="+=", terminal=CrossReference(type_name="a.1.b", terminal_name="é")),
+            ActionAnnotation(type_name="Ü"),
+            RuleCall(rule_name="p::é"),
+        )
+    )
+    rule = ParserRule("é", "ecore::Ü", body)
+    printed = print_rule(rule)
+    assert printed == "é returns ecore::Ü:\n    'k' ñ=1.5\n    x+=[a.1.b|é]\n    {Ü}\n    p::é;"
+    assert parse_grammar(printed) == Grammar(rules=(rule,))
+    assert rule_signature(rule) == normalized_tokens(printed)
+
+
+@pytest.mark.parametrize(
+    "keyword,printed",
+    [
+        (Keyword(text="a'b", quote="'"), "\"a'b\""),
+        (Keyword(text='a"b', quote='"'), "'a\"b'"),
+        (Keyword(text="a\\'b", quote="'"), "'a\\'b'"),
+        (Keyword(text="a'b", quote='"'), "\"a'b\""),
+    ],
+)
+def test_keyword_prints_in_the_other_quote_only_when_its_own_does_not_fit(keyword, printed):
+    rule = ParserRule("R", None, keyword)
+    assert print_rule(rule) == f"R:\n    {printed};"
+    reparsed = parse_grammar(print_rule(rule))
+    assert reparsed.rules[0].body.text == keyword.text
+    assert rule_signature(rule) == ["R", ":", "'" + keyword.text + "'", ";"]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ParserRule("R", None, Keyword(text="a'b\"c")),
+        ParserRule("R", None, Keyword(text="back\\")),
+        ParserRule("R", None, Keyword(text="new\nline")),
+        ParserRule("R", None, Keyword(text="cr\rx")),
+        ParserRule("R", None, RuleCall(rule_name="x y")),
+        ParserRule("R", None, RuleCall(rule_name="")),
+        ParserRule("R", None, RuleCall(rule_name="a::")),
+        ParserRule("R", None, RuleCall(rule_name="Ⅻ")),
+        ParserRule("R", None, Assignment(feature="p::T")),
+        ParserRule("R", None, Assignment(feature="x", operator=":=")),
+        ParserRule("R", None, ActionAnnotation(type_name="a.b")),
+        ParserRule("R", None, CrossReference(type_name="T", terminal_name="a.b")),
+        ParserRule("a.b", None, Keyword(text="k")),
+        ParserRule("R", "x/*y*/", Keyword(text="k")),
+        ParserRule("R", None, Group(children=())),
+        ParserRule("R", None, Group(children=(Keyword(text="k"), Alternatives(branches=())))),
+    ],
+)
+def test_values_that_do_not_print_raise_the_same_error_when_signed(rule):
+    with pytest.raises(UnprintableError):
+        print_rule(rule)
+    with pytest.raises(UnprintableError):
+        rule_signature(rule)
+    assert issubclass(UnprintableError, ValueError)
+
+
+def test_group_with_two_brace_pairs_prints_on_one_line():
+    """Not a braced group (see test_model): no brace layout, one line."""
+    a, b = RuleCall(rule_name="a"), RuleCall(rule_name="b")
+    group = Group(children=(Keyword(text="{"), a, Keyword(text="}"), Keyword(text="{"), b, Keyword(text="}")))
+    rule = ParserRule("R", None, Group(children=(Keyword(text="r"), group)))
+    assert print_rule(rule) == "R:\n    'r'\n    ('{' a '}' '{' b '}');"
 
 
 _GRAMMARISH = st.text(

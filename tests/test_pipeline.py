@@ -1,5 +1,6 @@
 """Whole-pipeline scenarios: scale behavior and multi-step evolution chains."""
 
+from corpus import grammar_body_tokens
 from xtadapt.evaluate import (
     AdaptationType,
     classify_adaptations,
@@ -8,7 +9,7 @@ from xtadapt.evaluate import (
 )
 from xtadapt.extract import extract_config
 from xtadapt.model import Grammar
-from xtadapt.parsing import grammar_body_tokens, parse_grammar
+from xtadapt.parsing import parse_grammar
 from xtadapt.transform import apply_config
 
 

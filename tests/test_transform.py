@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PAIRS, _mutation_candidates, load_pair
-from xtadapt.model import Keyword, find_rule, grammar_problems
+from corpus import PAIRS, _mutation_candidates, grammar_body_tokens, load_pair
+from xtadapt.model import (
+    Grammar,
+    Keyword,
+    RuleCall,
+    assignments_of,
+    find_rule,
+    grammar_problems,
+    walk,
+)
 from xtadapt.parsing import (
-    grammar_body_tokens,
     parse_grammar,
+    print_grammar,
     print_rule,
     rule_signature,
 )
@@ -249,6 +257,21 @@ def test_add_terminator_follows_every_occurrence():
     assert [o.matched for o in report.outcomes] == [2, 2]
 
 
+def test_remove_braces_inside_the_optional_wrapper_prints_what_it_holds():
+    """Removing the braces leaves the wrapper one plain group; the ``?``
+    moves onto it, as the printed ``(('value' value=ID))?`` re-parses."""
+    grammar = parse_grammar("Label: 'Label' '{' ('value' value=ID) '}';")
+    config = TransformationConfig(
+        entries=(
+            op(OpKind.MAKE_BRACES_OPTIONAL, rule_scope("Label")),
+            op(OpKind.REMOVE_BRACES, rule_scope("Label")),
+        )
+    )
+    adapted, _ = apply_config(config, grammar)
+    assert print_rule(adapted.rules[0]) == "Label:\n    'Label'\n    ('value' value=ID)?;"
+    assert parse_grammar(print_grammar(adapted)) == adapted
+
+
 def test_phase_order_bounds_example():
     grammar = parse_grammar(
         "X: 'bounds' '{' bounds+=XGenericType ( \",\" bounds+=XGenericType)* '}';"
@@ -351,6 +374,39 @@ def test_config_json_rejects_missing_params(kind, scope, params, fragment):
         config_from_json(json.dumps(doc))
     assert fragment in str(err.value)
     assert str(err.value).startswith("entry 0: ")
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("RENAME_KEYWORD", {"from": "x", "to": "a'b\"c"}),
+        ("ADD_TERMINATOR", {"text": "new\nline"}),
+        ("CHANGE_SEPARATOR", {"from": ",", "to": "back\\"}),
+        ("CHANGE_CALLED_RULE", {"from": "ID", "to": "x y"}),
+        ("CHANGE_CALLED_RULE", {"from": "ID", "to": ""}),
+        ("REPLACE_RULE", {"body": "'a'", "returns": "p::"}),
+    ],
+)
+def test_config_json_rejects_params_that_do_not_print(kind, params):
+    scope = {"kind": "ATTRIBUTE", "rule": "A", "feature": "a"}
+    doc = {"entries": [{"kind": kind, "scope": scope, "params": params}]}
+    with pytest.raises(TransformError, match="^entry 0: .* cannot be printed$"):
+        config_from_json(json.dumps(doc))
+
+
+def test_config_json_accepts_params_that_print():
+    scope = {"kind": "RULE", "rule": "A"}
+    entries = [
+        ("RENAME_KEYWORD", {"from": "x", "to": "a'b"}),
+        ("ADD_TERMINATOR", {"text": ""}),
+        ("CHANGE_SEPARATOR", {"from": ",", "to": 'a"b'}),
+        ("CHANGE_CALLED_RULE", {"from": "ID", "to": "é"}),
+        ("CHANGE_CALLED_RULE", {"from": "ID", "to": "ecore::EString"}),
+        ("CHANGE_CALLED_RULE", {"from": "ID", "to": "1.5"}),
+        ("REPLACE_RULE", {"body": "'a'", "returns": "a.b"}),
+    ]
+    doc = {"entries": [{"kind": k, "scope": scope, "params": p} for k, p in entries]}
+    assert len(config_from_json(json.dumps(doc)).entries) == len(entries)
 
 
 def test_config_json_accepts_what_extract_writes():
@@ -474,3 +530,57 @@ def test_apply_config_equals_one_op_at_a_time(data):
     adapted, report = apply_config(config, grammar)
     assert adapted == expected
     assert [(o.op, o.matched) for o in report.outcomes] == outcomes
+
+
+_PRINT_BASES = [grammar for name, _ in PAIRS for grammar in load_pair(name)]
+#: Param texts that print, print only in the other quote, or do not print.
+_PARAM_TEXTS = [
+    "x", "a'b", 'a"b', "a'b\"c", "é", "1.5", "p::T", "a.b", "x y", "", "back\\", "tab\t",
+    "new\nline", "cr\r", "{", ";", "=>", "a.", "::", "Ⅻ", "//",
+]
+#: The kinds that write a param into the rule.
+_WRITING_KINDS = ["RENAME_KEYWORD", "ADD_TERMINATOR", "CHANGE_SEPARATOR", "CHANGE_CALLED_RULE", "REPLACE_RULE"]
+_PARAM_BODIES = ["'a' x=p::T", "\"q'\" y+=[a.b|ID] ';'?", "(k=é | 'x')*", "'a\rb'", "{"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_loaded_config_prints_text_that_reparses(data):
+    """Any config that loads, applied to a fixture rule, prints text that
+    re-parses to rules of the same names and signatures."""
+    rule = data.draw(st.sampled_from([r for g in _PRINT_BASES for r in g.rules]))
+    present = sorted(
+        {n.text for _, n in walk(rule.body) if isinstance(n, Keyword)}
+        | {n.rule_name for _, n in walk(rule.body) if isinstance(n, RuleCall)}
+    )
+    odd = st.sampled_from(_PARAM_TEXTS) | st.text(max_size=3)
+    scopes = [{"kind": "RULE", "rule": rule.name}] + [
+        {"kind": "ATTRIBUTE", "rule": rule.name, "feature": a.feature}
+        for _, a in assignments_of(rule)
+    ]
+    entry = st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(_WRITING_KINDS) | st.sampled_from([k.value for k in OpKind]),
+            "scope": st.sampled_from(scopes[:1]) | st.sampled_from(scopes[1:] or scopes),
+            "params": st.fixed_dictionaries(
+                {
+                    "text": st.sampled_from(present or ["x"]) | odd,
+                    "from": st.sampled_from(present or ["x"]),
+                    "to": st.none() | odd | st.sampled_from(_PARAM_TEXTS),
+                    "body": st.sampled_from(_PARAM_BODIES),
+                },
+                optional={"returns": odd, "enum": st.booleans()},
+            ),
+        }
+    )
+    doc = {"entries": data.draw(st.lists(entry, min_size=1, max_size=2))}
+    try:
+        adapted, _ = apply_config(config_from_json(json.dumps(doc)), Grammar(rules=(rule,)))
+    except TransformError:
+        return
+    printed = print_grammar(adapted)
+    reparsed = parse_grammar(printed)
+    assert isinstance(reparsed, Grammar), printed
+    assert [(r.name, rule_signature(r)) for r in reparsed.rules] == [
+        (r.name, rule_signature(r)) for r in adapted.rules
+    ]
