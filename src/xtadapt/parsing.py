@@ -14,7 +14,9 @@ and printed text re-parses to a structurally equal grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Iterable
 
 from .model import (
     ASSIGN_OPERATORS,
@@ -37,7 +39,6 @@ from .model import (
 MAX_NESTING_DEPTH = 64
 
 _HEADER_STARTS = ("grammar", "import", "generate")
-_PUNCT2 = ("=>", "+=", "?=")
 _CARD_SUFFIXES = {"?": Cardinality.OPTIONAL, "*": Cardinality.STAR, "+": Cardinality.PLUS}
 _INDENT = "    "
 
@@ -72,114 +73,137 @@ class TokenizeError(ValueError):
 # Lexing
 # ---------------------------------------------------------------------------
 
+_IDENT, _STRING, _PUNCT, _END = "ident", "string", "punct", "end"
+_OPEN_STRING, _OPEN_COMMENT = "unterminated string literal", "unterminated comment"
 
-@dataclass(frozen=True)
+
+def _numerals() -> tuple[str, str]:
+    """Regex class bodies of the word characters that are neither letters
+    nor decimal digits: those ``str.isdigit`` accepts (``²``, ``①``), and
+    the others (``½``, ``Ⅰ``).
+
+    ``\\w`` is ``isalnum() or _`` and ``\\d`` is ``isdecimal()``, so these
+    two sets are what separate ``[^\\W\\d]`` from ``isalpha() or _`` and
+    ``\\d`` from ``isdigit()``.  They come from the running Python's Unicode
+    tables: the word characters of each plane, less ``\\d`` and ``_``, are
+    bisected with ``str.isalpha``.  No code point past U+3FFFF is a word
+    character.
+    """
+    found: list[str] = []
+    block = bytearray(0x4000)  # 0x1000 code points from `start`, in UTF-32-LE
+    block[0::4] = bytes(range(256)) * 16
+    for start in range(0, 0x40000, 0x1000):
+        block[1::4] = b"".join(bytes(((start >> 8) + k & 0xFF,)) * 256 for k in range(16))
+        block[2::4] = bytes((start >> 16,)) * 0x1000
+        text = block.decode("utf-32-le", "surrogatepass")
+        pending = [re.sub(r"[\W\d_]+", "", text)]
+        while pending:
+            chars = pending.pop()
+            if not chars or chars.isalpha():
+                continue
+            if len(chars) == 1:
+                found.append(chars)
+            else:  # bisect, the first half popped first
+                half = len(chars) // 2
+                pending += (chars[half:], chars[:half])
+    return _ranges(c for c in found if c.isdigit()), _ranges(c for c in found if not c.isdigit())
+
+
+def _ranges(chars: Iterable[str]) -> str:
+    """Regex class body of ``chars``, given in code point order."""
+    runs: list[list[str]] = []
+    for c in chars:
+        if runs and ord(c) == ord(runs[-1][1]) + 1:
+            runs[-1][1] = c
+        else:
+            runs.append([c, c])
+    return "".join(first if first == last else f"{first}-{last}" for first, last in runs)
+
+
+_DIGIT_NUMERALS, _OTHER_NUMERALS = _numerals()
+
+#: One token per match, after any whitespace and comments.  Identifiers
+#: start on ``isalpha() or _`` and go on over ``isalnum() or _``; digit-led
+#: tokens start on ``isdigit()`` and go on over ``isalnum()``, ``.`` and
+#: ``_``; ASCII takes the short branches.  A backslash in a string escapes
+#: any character.  The two error groups run to the end of the text, and
+#: ``\Z`` matches once at the end without a group.
+_TOKEN = re.compile(
+    rf"""(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*
+    (?:(?P<ident>[A-Za-z_]\w*|[0-9][\w.]*|(?=[^\x00-\x7f])
+        (?:[^\W\d{_DIGIT_NUMERALS}{_OTHER_NUMERALS}]\w*|[\d{_DIGIT_NUMERALS}][\w.]*))
+    |(?P<string>'(?:[^'\\\n]|\\(?s:.))*'|"(?:[^"\\\n]|\\(?s:.))*")
+    |(?P<open_string>'(?:[^'\\\n]|\\(?s:.))*\\?|"(?:[^"\\\n]|\\(?s:.))*\\?)(?s:.*)
+    |(?P<open_comment>/\*(?s:.*))
+    |(?P<punct>=>|\+=|\?=|(?s:.))
+    |\Z)""",
+    re.VERBOSE,
+)
+_KINDS = (None, _IDENT, _STRING, _OPEN_STRING, _OPEN_COMMENT, _PUNCT)
+
+
+class _Source:
+    """Lines and columns of offsets in a lexed text, from a table of its
+    line starts built when first asked."""
+
+    __slots__ = ("text", "first_line", "_line_starts")
+
+    def __init__(self, text: str, first_line: int):
+        self.text = text
+        self.first_line = first_line
+        self._line_starts: list[int] | None = None
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The span from offset ``start`` to offset ``end``, both included."""
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0]
+            starts.extend(m.end() for m in re.finditer("\n", self.text))
+        i = bisect_right(starts, start) - 1
+        j = bisect_right(starts, end) - 1
+        return SourceSpan(
+            self.first_line + i, start - starts[i] + 1, self.first_line + j, end - starts[j] + 1
+        )
+
+
 class _Token:
-    text: str
-    kind: str  # "string" | "ident" | "punct"
-    span: SourceSpan
+    """A token's text, kind and start offset; ``span`` is worked out from
+    the offset when read."""
+
+    __slots__ = ("text", "kind", "start", "source")
+
+    def __init__(self, text: str, kind: str, start: int, source: _Source | None):
+        self.text = text
+        self.kind = kind  # one of _IDENT, _STRING, _PUNCT, _END: compare with `is`
+        self.start = start
+        self.source = source
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start, self.start + len(self.text) - 1)
 
 
 def _lex(text: str, first_line: int = 1) -> list[_Token]:
     """Tokenize grammar text; comments are dropped, strings stay quoted."""
-    tokens: list[_Token] = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if text.startswith("/*", i):
-            l0, c0 = line, col
-            i += 2
-            col += 2
-            while i < n and not text.startswith("*/", i):
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise TokenizeError("unterminated comment", SourceSpan(l0, c0, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "'\"":
-            l0, c0 = line, col
-            j = i + 1
-            col += 1
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    j += 2
-                    col += 2
-                    continue
-                if c == ch:
-                    break
-                if c == "\n":
-                    raise TokenizeError(
-                        "unterminated string literal", SourceSpan(l0, c0, line, col)
-                    )
-                j += 1
-                col += 1
-            if j >= n:
-                raise TokenizeError(
-                    "unterminated string literal", SourceSpan(l0, c0, line, col)
-                )
-            col += 1  # closing quote
-            tokens.append(_Token(text[i : j + 1], "string", SourceSpan(l0, c0, line, col - 1)))
-            i = j + 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token(two, "punct", SourceSpan(line, col, line, col + 1)))
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            l0, c0 = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-                col += 1
-            tokens.append(_Token(text[i:j], "ident", SourceSpan(l0, c0, line, col - 1)))
-            i = j
-            continue
-        if ch.isdigit():
-            l0, c0 = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-                col += 1
-            tokens.append(_Token(text[i:j], "ident", SourceSpan(l0, c0, line, col - 1)))
-            i = j
-            continue
-        tokens.append(_Token(ch, "punct", SourceSpan(line, col, line, col)))
-        i += 1
-        col += 1
+    source = _Source(text, first_line)
+    tokens = [
+        _Token(m[i], _KINDS[i], m.start(i), source)
+        for m in _TOKEN.finditer(text)
+        if (i := m.lastindex)
+    ]
+    if tokens and tokens[-1].kind in (_OPEN_STRING, _OPEN_COMMENT):
+        bad = tokens[-1]
+        raise TokenizeError(bad.kind, source.span(bad.start, bad.start + len(bad.text)))
     return tokens
 
 
 def tokenize(source_text: str) -> list[str]:
     """Split grammar text into comparison tokens.
 
-    Whitespace separates; quoted literals are single tokens (quotes kept as
-    written); ``=>``, ``+=`` and ``?=`` are two-character tokens; all other
-    punctuation is one token per character.  Raises TokenizeError on an
-    unterminated string literal.
+    Whitespace separates and comments are dropped; quoted literals are
+    single tokens (quotes kept as written); ``=>``, ``+=`` and ``?=`` are
+    two-character tokens; all other punctuation is one token per character.
+    Raises TokenizeError on an unterminated string literal or comment.
     """
     return [t.text for t in _lex(source_text)]
 
@@ -248,15 +272,22 @@ class _ParseAbort(Exception):
     """Internal: unwind to the rule level after an unrecoverable diagnostic."""
 
 
+#: Ends every token list the parser reads, three deep so that lookahead of
+#: up to two tokens never runs off the list.
+_SENTINELS = [_Token("", _END, 0, None)] * 3
+
+#: Texts that end a branch; the sentinel's is ``""``.
+_BRANCH_END = frozenset(("|", ";", ")", ""))
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens
+        self.tokens = tokens + _SENTINELS
         self.pos = 0
         self.diagnostics = diagnostics
 
-    def peek(self, offset: int = 0) -> _Token | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -264,12 +295,14 @@ class _Parser:
         return tok
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos].kind is _END
 
     def error(self, message: str, span: SourceSpan | None = None) -> None:
         if span is None:
-            tok = self.peek() or self.tokens[-1] if self.tokens else None
-            span = tok.span if tok else SourceSpan(1, 1, 1, 1)
+            tok: _Token | None = self.tokens[self.pos]
+            if tok.kind is _END:  # the last token, if any
+                tok = self.tokens[self.pos - 1] if self.pos else None
+            span = tok.span if tok is not None else SourceSpan(1, 1, 1, 1)
         self.diagnostics.append(ParseDiagnostic(span, message))
 
     def abort(self, message: str, span: SourceSpan | None = None) -> None:
@@ -281,6 +314,14 @@ class _Parser:
             if self.next().text == ";":
                 return
 
+    def cardinality(self) -> Cardinality:
+        """Read an optional ``?``, ``*`` or ``+`` suffix."""
+        card = _CARD_SUFFIXES.get(self.tokens[self.pos].text)
+        if card is None:
+            return Cardinality.ONE
+        self.pos += 1
+        return card
+
     # -- top level ----------------------------------------------------------
 
     def parse_grammar_items(self) -> tuple[list[ParserRule], list[TerminalDecl]]:
@@ -288,11 +329,10 @@ class _Parser:
         terminals: list[TerminalDecl] = []
         while not self.at_end():
             tok = self.peek()
-            assert tok is not None
             try:
-                if tok.kind == "ident" and tok.text == "terminal":
+                if tok.kind is _IDENT and tok.text == "terminal":
                     terminals.append(self.parse_terminal_decl())
-                elif tok.kind == "ident":
+                elif tok.kind is _IDENT:
                     rules.append(self.parse_rule())
                 else:
                     self.abort(f"unknown top-level construct starting at {tok.text!r}", tok.span)
@@ -302,13 +342,11 @@ class _Parser:
 
     def parse_terminal_decl(self) -> TerminalDecl:
         self.next()  # 'terminal'
-        name_tok = self.peek()
-        if name_tok is None or name_tok.kind != "ident":
+        if self.peek().kind is not _IDENT:
             self.abort("expected terminal name")
         name = self.next().text
         body_parts: list[str] = []
-        tok = self.peek()
-        if tok is not None and tok.text == ":":
+        if self.peek().text == ":":
             self.next()
             while not self.at_end() and self.peek().text != ";":
                 body_parts.append(self.next().text)
@@ -324,12 +362,13 @@ class _Parser:
         # marker is kept, so printing restores it.  ``enum N:`` and
         # ``enum N returns T:`` are enum rules; ``enum returns T:`` is a
         # parser rule named ``enum``.
+        tokens, pos = self.tokens, self.pos
         enum = (
             name == "enum"
-            and self._peek_kind(0) == "ident"
+            and tokens[pos].kind is _IDENT
             and (
-                self._peek_text(1) == ":"
-                or (self._peek_text(1) == "returns" and self._peek_kind(2) == "ident")
+                tokens[pos + 1].text == ":"
+                or (tokens[pos + 1].text == "returns" and tokens[pos + 2].kind is _IDENT)
             )
         )
         if enum:
@@ -337,50 +376,34 @@ class _Parser:
             name = first.text
         returns_type: str | None = None
         tok = self.peek()
-        if tok is not None and tok.kind == "ident" and tok.text == "returns":
+        if tok.kind is _IDENT and tok.text == "returns":
             self.next()
             returns_type = self.parse_qualified_name("returns type")
-        tok = self.peek()
-        if tok is None or tok.text != ":":
+        if self.peek().text != ":":
             self.abort(f"expected ':' after rule name {name!r}", first.span)
         self.next()
         body = self.parse_alternatives(depth=1)
-        tok = self.peek()
-        if tok is None or tok.text != ";":
+        if self.peek().text != ";":
             self.abort(f"missing ';' terminating rule {name!r}", first.span)
         self.next()
         return ParserRule(name=name, returns_type=returns_type, body=body, enum=enum)
 
     def parse_qualified_name(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
+        tokens = self.tokens
+        if tokens[self.pos].kind is not _IDENT:
             self.abort(f"expected {what}")
         parts = [self.next().text]
         while True:
-            tok = self.peek()
-            if tok is not None and tok.text == ":" and self._peek_text(1) == ":":
-                nxt = self.peek(2)
-                if nxt is not None and nxt.kind == "ident":
-                    self.next()
-                    self.next()
-                    parts.append("::" + self.next().text)
-                    continue
-            if tok is not None and tok.text == ".":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.kind == "ident":
-                    self.next()
-                    parts.append("." + self.next().text)
-                    continue
-            break
-        return "".join(parts)
-
-    def _peek_text(self, offset: int) -> str | None:
-        tok = self.peek(offset)
-        return tok.text if tok is not None else None
-
-    def _peek_kind(self, offset: int) -> str | None:
-        tok = self.peek(offset)
-        return tok.kind if tok is not None else None
+            pos = self.pos
+            text = tokens[pos].text
+            if text == ":" and tokens[pos + 1].text == ":" and tokens[pos + 2].kind is _IDENT:
+                parts.append("::" + tokens[pos + 2].text)
+                self.pos += 3
+            elif text == "." and tokens[pos + 1].kind is _IDENT:
+                parts.append("." + tokens[pos + 1].text)
+                self.pos += 2
+            else:
+                return "".join(parts)
 
     # -- expressions --------------------------------------------------------
 
@@ -388,11 +411,9 @@ class _Parser:
         if depth > MAX_NESTING_DEPTH:
             self.abort(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
         branches = [self.parse_branch(depth)]
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text != "|":
-                break
-            self.next()
+        tokens = self.tokens
+        while tokens[self.pos].text == "|":
+            self.pos += 1
             branches.append(self.parse_branch(depth))
         if len(branches) == 1:
             return branches[0]
@@ -400,14 +421,11 @@ class _Parser:
 
     def parse_branch(self, depth: int) -> Expression:
         elements: list[Expression] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text in ("|", ";", ")"):
-                break
+        tokens = self.tokens
+        while tokens[self.pos].text not in _BRANCH_END:
             elements.append(self.parse_element(depth))
         if not elements:
-            tok = self.peek()
-            self.abort("empty group or alternative", tok.span if tok else None)
+            self.abort("empty group or alternative")
         if len(elements) == 1:
             # Branch and body positions print sequences bare, so a redundant
             # singleton paren group must normalize here or the printed form
@@ -419,100 +437,101 @@ class _Parser:
         return Group(children=tuple(elements))
 
     def parse_element(self, depth: int) -> Expression:
-        predicated = False
-        tok = self.peek()
-        if tok is not None and tok.text == "=>":
-            self.next()
-            predicated = True
-        node = self.parse_primary(depth)
-        tok = self.peek()
-        card = Cardinality.ONE
-        if tok is not None and tok.text in _CARD_SUFFIXES:
-            card = _CARD_SUFFIXES[self.next().text]
-        if card is not Cardinality.ONE or predicated:
-            node = replace(
-                node,
-                cardinality=card if card is not Cardinality.ONE else node.cardinality,
-                predicated=predicated or node.predicated,
+        """An optional ``=>``, a primary and its optional suffix, built as
+        one node."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        predicated = tok.text == "=>"
+        if predicated:
+            self.pos += 1
+            tok = tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind is _STRING:
+            self.pos += 1
+            return Keyword(
+                text=text[1:-1], quote=text[0],
+                cardinality=self.cardinality(), predicated=predicated,
             )
-        return node
-
-    def parse_primary(self, depth: int) -> Expression:
-        tok = self.peek()
-        if tok is None:
-            self.abort("unexpected end of input in rule body")
-        assert tok is not None
-        if tok.kind == "string":
-            self.next()
-            return Keyword(text=tok.text[1:-1], quote=tok.text[0])
-        if tok.text == "(":
-            open_tok = self.next()
+        if kind is _IDENT:
+            operator = tokens[self.pos + 1].text
+            if operator in ASSIGN_OPERATORS:
+                self.pos += 2
+                return Assignment(
+                    feature=text, operator=operator,
+                    terminal=self.parse_assignment_terminal(text),
+                    cardinality=self.cardinality(), predicated=predicated,
+                )
+            return RuleCall(
+                rule_name=self.parse_qualified_name("rule call"),
+                cardinality=self.cardinality(), predicated=predicated,
+            )
+        if text == "(":
+            self.pos += 1
             inner = self.parse_alternatives(depth + 1)
-            closing = self.peek()
-            if closing is None or closing.text != ")":
-                self.abort("unbalanced '(': missing ')'", open_tok.span)
-            self.next()
-            if isinstance(inner, (Alternatives, Group)) and inner.plain:
+            if tokens[self.pos].text != ")":
+                self.abort("unbalanced '(': missing ')'", tok.span)
+            self.pos += 1
+            card = self.cardinality()
+            if not (isinstance(inner, (Alternatives, Group)) and inner.plain):
+                # A single node keeps its parens, and so does one that
+                # carries its own suffix or predicate: `(X?)?` has two levels.
+                return Group(children=(inner,), cardinality=card, predicated=predicated)
+            if card is Cardinality.ONE and not predicated:
                 return inner
-            # The inner expression carries its own suffix or predicate, so
-            # the parens are load-bearing: `(X?)?` must keep two levels.
-            return Group(children=(inner,))
-        if tok.text == "{":
-            open_tok = self.next()
-            name_tok = self.peek()
-            if name_tok is None or name_tok.kind != "ident":
-                self.abort("expected type name inside '{...}' action", open_tok.span)
-            name = self.next().text
-            closing = self.peek()
-            if closing is None or closing.text != "}":
-                self.abort("unbalanced '{' in action annotation", open_tok.span)
-            self.next()
-            return ActionAnnotation(type_name=name)
-        if tok.text == "[":
-            return self.parse_cross_reference()
-        if tok.kind == "ident":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.text in ("=", "+=", "?="):
-                feature = self.next().text
-                operator = self.next().text
-                terminal = self.parse_assignment_terminal(feature)
-                return Assignment(feature=feature, operator=operator, terminal=terminal)
-            return RuleCall(rule_name=self.parse_qualified_name("rule call"))
-        self.abort(f"unexpected token {tok.text!r} in rule body", tok.span)
+            if isinstance(inner, Group):
+                return Group(children=inner.children, cardinality=card, predicated=predicated)
+            return Alternatives(branches=inner.branches, cardinality=card, predicated=predicated)
+        if text == "{":
+            self.pos += 1
+            name_tok = tokens[self.pos]
+            if name_tok.kind is not _IDENT:
+                self.abort("expected type name inside '{...}' action", tok.span)
+            self.pos += 1
+            if tokens[self.pos].text != "}":
+                self.abort("unbalanced '{' in action annotation", tok.span)
+            self.pos += 1
+            return ActionAnnotation(
+                type_name=name_tok.text, cardinality=self.cardinality(), predicated=predicated
+            )
+        if text == "[":
+            type_name, terminal_name = self.parse_cross_reference()
+            return CrossReference(
+                type_name=type_name, terminal_name=terminal_name,
+                cardinality=self.cardinality(), predicated=predicated,
+            )
+        if kind is _END:
+            self.abort("unexpected end of input in rule body")
+        self.abort(f"unexpected token {text!r} in rule body", tok.span)
         raise AssertionError("unreachable")
 
-    def parse_cross_reference(self) -> CrossReference:
+    def parse_cross_reference(self) -> tuple[str, str | None]:
+        """``[Type|Terminal]``: its type name (maybe empty) and terminal name."""
         open_tok = self.next()  # '['
         type_name = ""
-        tok = self.peek()
-        if tok is not None and tok.kind == "ident":
+        if self.peek().kind is _IDENT:
             type_name = self.parse_qualified_name("cross-reference type")
         terminal_name: str | None = None
-        tok = self.peek()
-        if tok is not None and tok.text == "|":
+        if self.peek().text == "|":
             self.next()
-            name_tok = self.peek()
-            if name_tok is None or name_tok.kind != "ident":
+            if self.peek().kind is not _IDENT:
                 self.abort("expected terminal name after '|' in cross-reference", open_tok.span)
             terminal_name = self.next().text
-        closing = self.peek()
-        if closing is None or closing.text != "]":
+        if self.peek().text != "]":
             self.abort("unbalanced '[': missing ']'", open_tok.span)
         self.next()
-        return CrossReference(type_name=type_name, terminal_name=terminal_name)
+        return type_name, terminal_name
 
     def parse_assignment_terminal(self, feature: str) -> Expression:
         tok = self.peek()
-        if tok is None:
-            self.abort(f"malformed assignment to {feature!r}: missing terminal")
-        assert tok is not None
-        if tok.kind == "string":
+        if tok.kind is _STRING:
             self.next()
             return Keyword(text=tok.text[1:-1], quote=tok.text[0])
         if tok.text == "[":
-            return self.parse_cross_reference()
-        if tok.kind == "ident":
+            return CrossReference(*self.parse_cross_reference())
+        if tok.kind is _IDENT:
             return RuleCall(rule_name=self.parse_qualified_name("called rule"))
+        if tok.kind is _END:
+            self.abort(f"malformed assignment to {feature!r}: missing terminal")
         self.abort(f"malformed assignment to {feature!r}: bad terminal {tok.text!r}", tok.span)
         raise AssertionError("unreachable")
 
@@ -590,7 +609,6 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
         return diagnostics
     if not parser.at_end():
         tok = parser.peek()
-        assert tok is not None
         diagnostics.append(ParseDiagnostic(tok.span, f"trailing input {tok.text!r} after body"))
     return diagnostics or body
 
@@ -642,7 +660,7 @@ def _name(name: str, out: list[str], qualified: bool = False) -> None:
         tokens = _lex(name)
     except TokenizeError:
         tokens = []
-    shape = "".join("i" if t.kind == "ident" else t.text for t in tokens)
+    shape = "".join("i" if t.kind is _IDENT else t.text for t in tokens)
     if "".join(t.text for t in tokens) != name or not (
         _QUALIFIED_SHAPE.fullmatch(shape) if qualified else shape == "i"
     ):

@@ -555,6 +555,21 @@ def _apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[Parser
     return (replace(rule, body=body), matched) if matched else (rule, 0)
 
 
+def _remove_at(body: Group, path: Path, remove: set[int]) -> Group:
+    """``body`` without the children at indices ``remove`` of the node at
+    ``path``.  A node left empty is removed from its parent in turn, and
+    each node below the body that lost children is collapsed, so the result
+    prints to text that re-parses to it."""
+    node = node_at(body, path)
+    kids = tuple(c for i, c in enumerate(children_of(node)) if i not in remove)
+    if not path:
+        return with_children(node, kids)
+    shrunk = _collapse(with_children(node, kids), True)
+    if shrunk is None:
+        return _remove_at(body, path[:-1], {path[-1]})
+    return _replace_at(body, path, shrunk)
+
+
 def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
@@ -577,20 +592,9 @@ def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserR
     remove = {idx}
     if idx > 0 and isinstance(kids[idx - 1], Keyword) and not is_brace(kids[idx - 1]):
         remove.add(idx - 1)
-    kept = [c for i, c in enumerate(kids) if i not in remove]
-    new_parent = with_children(parent, tuple(kept))
-    if isinstance(new_parent, Group) and not kept:
-        # The wrapper held only this attribute; drop it entirely.
-        gp_path = parent_path[:-1]
-        gp = node_at(body, gp_path) if parent_path else None
-        if parent_path:
-            gkids = list(children_of(gp))
-            gkids.pop(parent_path[-1])
-            body = _replace_at(body, gp_path, with_children(gp, tuple(gkids)))
-        else:
-            return rule, 0
-    else:
-        body = _replace_at(body, parent_path, new_parent)
+    body = _remove_at(body, parent_path, remove)
+    if not children_of(body):
+        return rule, 0
 
     # Insert before the brace region, i.e. right after the rule's leading
     # keyword.

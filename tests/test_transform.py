@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PAIRS, _mutation_candidates, grammar_body_tokens, load_pair
+from corpus import PAIRS, _mutation_candidates, grammar_body_tokens, load_grammar, load_pair
 from xtadapt.model import (
+    Alternatives,
+    Assignment,
     Grammar,
     Keyword,
     RuleCall,
@@ -584,3 +586,54 @@ def test_loaded_config_prints_text_that_reparses(data):
     assert [(r.name, rule_signature(r)) for r in reparsed.rules] == [
         (r.name, rule_signature(r)) for r in adapted.rules
     ]
+
+
+def test_promote_attribute_collapses_the_branch_it_shrinks_to_one_child():
+    grammar = load_grammar("port_target.xtext")
+    promote = op(OpKind.PROMOTE_ATTRIBUTE, attribute_scope("Port", "compass_pt"), anchor="BEFORE_BRACES")
+    for _ in range(2):
+        grammar, matched = apply_single(promote, grammar)
+        assert matched == 1
+        assert parse_grammar(print_grammar(grammar)) == grammar
+    (choice,) = [n for _, n in walk(grammar.rules[0].body) if isinstance(n, Alternatives)]
+    assert [type(branch) for branch in choice.branches] == [Assignment, Assignment]
+
+
+def _ops_by_kind(grammar: Grammar) -> dict[OpKind, list[TransformOp]]:
+    """Ops of every kind that apply to rules of ``grammar``."""
+    ops = _mutation_candidates(grammar)
+    for rule in grammar.rules:
+        ops.append(op(OpKind.REPLACE_RULE, rule_scope(rule.name), body="'x' (x=ID | 'y' y+=ID)*"))
+        ops.extend(
+            op(OpKind.PROMOTE_ATTRIBUTE, attribute_scope(rule.name, a.feature), anchor="BEFORE_BRACES")
+            for _, a in assignments_of(rule)
+        )
+    by_kind: dict[OpKind, list[TransformOp]] = {}
+    for entry in ops:
+        by_kind.setdefault(entry.kind, []).append(entry)
+    return by_kind
+
+
+def test_every_op_kind_prints_grammars_that_reparse_equal():
+    seen = set()
+    for grammar in _PRINT_BASES:
+        for kind, ops in _ops_by_kind(grammar).items():
+            for entry in ops:
+                adapted, _ = apply_single(entry, grammar)
+                seen.add(kind)
+                assert parse_grammar(print_grammar(adapted)) == adapted, entry
+    assert seen == set(OpKind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_op_sequences_print_grammars_that_reparse_equal(data):
+    grammar = data.draw(st.sampled_from(_PRINT_BASES))
+    by_kind = _ops_by_kind(grammar)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(by_kind, key=lambda k: k.value)), min_size=1, max_size=3))
+    entries = tuple(data.draw(st.sampled_from(by_kind[kind])) for kind in kinds)
+    try:
+        adapted, _ = apply_config(TransformationConfig(entries=entries), grammar)
+    except TransformError:
+        return
+    assert parse_grammar(print_grammar(adapted)) == adapted
