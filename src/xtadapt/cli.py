@@ -105,8 +105,6 @@ def cmd_apply(args: argparse.Namespace) -> int:
         config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read config {args.config}: {err}") from err
-    except TransformError as err:
-        raise _InputError(str(err)) from err
     grammar = _load_grammar(args.g2)
     adapted, report = apply_config(config, grammar)
     Path(args.out).write_text(print_grammar(adapted), encoding="utf-8")
@@ -274,10 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (TransformError, ExtractionError) as err:
+    except (_InputError, TransformError, ExtractionError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT_ERROR
 

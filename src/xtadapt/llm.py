@@ -40,9 +40,6 @@ FOLLOW_UP_TEXT = (
     "Please fix only these issues and output the full corrected grammar."
 )
 
-PROMPT_1_TEMPLATE = (
-    PROMPT_1_TEXT + "\n\nGenerated grammar:\n{G1}\n\nTarget grammar:\n{G1_PRIME}"
-)
 PROMPT_2_TEMPLATE = PROMPT_2_TEXT + "\n\n{G2}"
 
 MAX_FOLLOW_UPS = 3
@@ -214,9 +211,7 @@ def _estimate_tokens(text: str) -> int:
 
 
 def render_prompt_1(g1_text: str, g1prime_text: str) -> str:
-    return PROMPT_1_TEMPLATE.replace("{G1}", g1_text).replace(
-        "{G1_PRIME}", g1prime_text
-    )
+    return f"{PROMPT_1_TEXT}\n\nGenerated grammar:\n{g1_text}\n\nTarget grammar:\n{g1prime_text}"
 
 
 def render_prompt_2(g2_text: str) -> str:

@@ -23,10 +23,6 @@ class Cardinality(Enum):
     STAR = "*"
     PLUS = "+"
 
-    @property
-    def suffix(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Expression:

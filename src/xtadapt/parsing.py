@@ -208,17 +208,6 @@ def tokenize(source_text: str) -> list[str]:
     return [t.text for t in _lex(source_text)]
 
 
-def normalize_token(token: str) -> str:
-    """Canonical form for comparison: double-quoted literals become single-quoted."""
-    if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
-        return "'" + token[1:-1] + "'"
-    return token
-
-
-def normalized_tokens(source_text: str) -> list[str]:
-    return [normalize_token(t) for t in tokenize(source_text)]
-
-
 def token_distance(a: list[str], b: list[str]) -> int:
     """Levenshtein distance between two token streams.
 
@@ -350,6 +339,8 @@ class _Parser:
             self.next()
             while not self.at_end() and self.peek().text != ";":
                 body_parts.append(self.next().text)
+        elif not self.at_end() and self.peek().text != ";":
+            self.abort(f"expected ':' or ';' after terminal {name}")
         if self.at_end():
             self.abort(f"missing ';' after terminal {name}")
         self.next()  # ';'
@@ -813,7 +804,7 @@ def _braced_group_lines(group: Group, indent: int) -> list[str]:
     first, *inner, last = group.children
     lines = [_INDENT * indent + "(" + _render_inline(first)]
     lines.extend(_sequence_lines(tuple(inner), indent + 1))
-    lines.append(_INDENT * indent + _render_inline(last) + ")" + group.cardinality.suffix)
+    lines.append(_INDENT * indent + _render_inline(last) + ")" + group.cardinality.value)
     return lines
 
 
@@ -837,8 +828,9 @@ def print_rule(rule: ParserRule) -> str:
 
 
 def rule_signature(rule: ParserRule) -> list[str]:
-    """Comparison token stream of a rule: ``normalized_tokens(print_rule(rule))``,
-    from the printer's own token walk without its line layout.  A rule that
+    """Comparison token stream of a rule: the lexer tokens of
+    ``print_rule(rule)`` with double-quoted keywords single-quoted, from the
+    printer's own token walk without its line layout.  A rule that
     does not print raises the printer's UnprintableError."""
     out: list[str] = []
     _head(rule, out, False)

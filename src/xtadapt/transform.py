@@ -31,7 +31,6 @@ from .model import (
     grammar_problems,
     is_brace,
     node_at,
-    walk,
     with_children,
 )
 from .parsing import parse_rule_body, printable_keyword, printable_name
@@ -77,11 +76,6 @@ PHASE_OF: dict[OpKind, int] = {
     OpKind.ADD_TERMINATOR: 6,
     OpKind.CHANGE_CALLED_RULE: 7,
 }
-
-#: REMOVE_KEYWORD text value meaning "any keyword matching the enclosing
-#: assignment's feature name or the rule name".
-ANY_KEYWORD = "*"
-
 
 @dataclass(frozen=True)
 class Scope:
@@ -282,52 +276,37 @@ def _collapse(expr: Expression, shrunk: bool) -> Expression | None:
     return expr
 
 
-def _edit_children(
-    expr: Expression,
-    path: Path,
-    editor,
-) -> tuple[Expression | None, int]:
-    """Apply ``editor(node, path) -> (new_children | None, matched)`` to every
-    Group/Alternatives node bottom-up; None keeps the original children."""
+def _rewrite(expr: Expression, path: Path, fn) -> tuple[Expression | None, int]:
+    """Apply ``fn(node, path) -> (node | None, matched)`` bottom-up, where
+    ``node`` has its rewritten children and ``path`` is its path in the input
+    tree.  A matched count of 0 keeps the node and None removes it; a Group
+    or Alternatives left with fewer children than it had is collapsed."""
     matched = 0
-    kids = children_of(expr)
-    if kids:
-        new_kids: list[Expression] = []
-        for i, child in enumerate(kids):
-            new_child, m = _edit_children(child, path + (i,), editor)
-            matched += m
-            if new_child is not None:
-                new_kids.append(new_child)
-        expr = with_children(expr, tuple(new_kids))
-        if isinstance(expr, (Group, Alternatives)):
-            edited, m = editor(expr, path)
-            matched += m
-            if edited is not None:
-                shrunk = len(edited) < len(children_of(expr))
-                expr = with_children(expr, tuple(edited))
-                collapsed = _collapse(expr, shrunk)
-                return collapsed, matched
-            if not children_of(expr):
-                return None, matched
-    return expr, matched
-
-
-def _rewrite_nodes(expr: Expression, path: Path, fn) -> tuple[Expression, int]:
-    """Apply ``fn(node, path) -> node | None`` pre-order; None keeps node."""
-    matched = 0
-    new = fn(expr, path)
-    if new is not None:
-        expr = new
-        matched += 1
     kids = children_of(expr)
     if kids:
         new_kids = []
         for i, child in enumerate(kids):
-            nc, m = _rewrite_nodes(child, path + (i,), fn)
-            new_kids.append(nc)
+            new, m = _rewrite(child, path + (i,), fn)
             matched += m
-        expr = with_children(expr, tuple(new_kids))
-    return expr, matched
+            if new is not None:
+                new_kids.append(new)
+        if matched:
+            expr = with_children(expr, tuple(new_kids))
+    new, m = fn(expr, path)
+    if m:
+        if new is None:
+            return None, matched + m
+        expr, matched = new, matched + m
+    return _collapse(expr, len(children_of(expr)) < len(kids)), matched
+
+
+def _rewritten(rule: ParserRule, fn) -> tuple[ParserRule, int]:
+    """``rule`` with its body passed through ``_rewrite``; an edit that
+    matches nothing, or empties the body, leaves the rule as it is."""
+    body, matched = _rewrite(rule.body, (), fn)
+    if body is None or not matched:
+        return rule, 0
+    return replace(rule, body=body), matched
 
 
 def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
@@ -349,59 +328,22 @@ def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
 # ---------------------------------------------------------------------------
 
 
-def _keyword_feature_context(rule: ParserRule) -> dict[Path, str]:
-    """Map each Keyword path to the feature owning it: the feature of its
-    minimal single-feature group region, or of the assignment immediately
-    following it (the generated keyword-per-attribute idiom)."""
-    context: dict[Path, str] = {}
-    for path, node in walk(rule.body):
-        if not isinstance(node, (Group, Alternatives)):
-            continue
-        kids = children_of(node)
-        for i, child in enumerate(kids[:-1]):
-            if isinstance(child, Keyword) and isinstance(kids[i + 1], Assignment):
-                context.setdefault(path + (i,), kids[i + 1].feature)
-        features = {n.feature for _, n in walk(node) if isinstance(n, Assignment)}
-        if len(features) != 1:
-            continue
-        feature = next(iter(features))
-        for sub_path, sub in walk(node, path):
-            if isinstance(sub, Keyword):
-                context.setdefault(sub_path, feature)
-    return context
-
-
 def _apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     text = op.param("text")
     anchors = _scope_anchor_paths(rule, op.scope)
-    kw_features = _keyword_feature_context(rule) if text == ANY_KEYWORD else {}
-    feature = op.scope.feature
 
-    def removable(kw: Keyword, path: Path) -> bool:
-        if not (_path_within(path, anchors) or _sibling_of_anchor(path, anchors)):
-            return False
-        if text == ANY_KEYWORD:
-            owner = kw_features.get(path)
-            if op.scope.kind is ScopeKind.ATTRIBUTE:
-                return kw.text == feature
-            return kw.text == rule.name or (owner is not None and kw.text == owner)
-        return kw.text == text
+    def fn(node: Expression, path: Path):
+        if (
+            isinstance(node, Keyword)
+            and node.text == text
+            and (_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
+            # an assignment's ``?='kw'`` terminal is not a sequence element
+            and not isinstance(node_at(rule.body, path[:-1]), Assignment)
+        ):
+            return None, 1
+        return node, 0
 
-    def editor(node: Expression, path: Path):
-        kids = children_of(node)
-        kept = [
-            c
-            for i, c in enumerate(kids)
-            if not (isinstance(c, Keyword) and removable(c, path + (i,)))
-        ]
-        if len(kept) == len(kids):
-            return None, 0
-        return kept, len(kids) - len(kept)
-
-    body, matched = _edit_children(rule.body, (), editor)
-    if body is None or matched == 0:
-        return rule, 0
-    return replace(rule, body=body), matched
+    return _rewritten(rule, fn)
 
 
 def _apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
@@ -414,11 +356,10 @@ def _apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
             and node.text == old
             and (_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
         ):
-            return replace(node, text=new)
-        return None
+            return replace(node, text=new), 1
+        return node, 0
 
-    body, matched = _rewrite_nodes(rule.body, (), fn)
-    return (replace(rule, body=body), matched) if matched else (rule, 0)
+    return _rewritten(rule, fn)
 
 
 def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
@@ -433,45 +374,28 @@ def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
 def _apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     anchors = _scope_anchor_paths(rule, op.scope)
 
-    def editor(node: Expression, path: Path):
-        if not isinstance(node, Group):
-            return None, 0
-        kids = children_of(node)
-        if not _path_within(path, anchors):
-            return None, 0
-        span = brace_span(kids)
-        if span is None:
-            return None, 0
-        lo, hi = span
-        kept = [c for i, c in enumerate(kids) if i not in (lo, hi)]
-        return kept, 1
+    def fn(node: Expression, path: Path):
+        if isinstance(node, Group) and _path_within(path, anchors):
+            span = brace_span(node.children)
+            if span is not None:
+                kept = [c for i, c in enumerate(node.children) if i not in span]
+                return replace(node, children=tuple(kept)), 1
+        return node, 0
 
-    body, matched = _edit_children(rule.body, (), editor)
-    if body is None or matched == 0:
-        return rule, 0
-    return replace(rule, body=body), matched
+    return _rewritten(rule, fn)
 
 
 def _apply_set_optionality(
     rule: ParserRule, op: TransformOp, target: Cardinality, source: Cardinality
 ) -> tuple[ParserRule, int]:
-    anchors = _scope_anchor_paths(rule, op.scope)
-    matched = 0
-    body = rule.body
-    for anchor in anchors:
-        node = node_at(body, anchor)
-        if node.cardinality is source:
-            body = _replace_at(body, anchor, replace(node, cardinality=target))
-            matched += 1
-    return (replace(rule, body=body), matched) if matched else (rule, 0)
+    anchors = set(_scope_anchor_paths(rule, op.scope))
 
+    def fn(node: Expression, path: Path):
+        if path in anchors and node.cardinality is source:
+            return replace(node, cardinality=target), 1
+        return node, 0
 
-def _replace_at(root: Expression, path: Path, new_node: Expression) -> Expression:
-    if not path:
-        return new_node
-    kids = list(children_of(root))
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new_node)
-    return with_children(root, tuple(kids))
+    return _rewritten(rule, fn)
 
 
 def _apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
@@ -488,53 +412,47 @@ def _apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRu
             and node.children[0].text == old
             and _path_within(path, anchors)
         ):
-            sep = node.children[0]
-            if new is None:
-                return replace(node, children=node.children[1:])
-            return replace(
-                node, children=(replace(sep, text=str(new)),) + node.children[1:]
-            )
-        return None
+            rest = node.children[1:]
+            if new is not None:
+                rest = (replace(node.children[0], text=str(new)),) + rest
+            return replace(node, children=rest), 1
+        return node, 0
 
-    body, matched = _rewrite_nodes(rule.body, (), fn)
-    return (replace(rule, body=body), matched) if matched else (rule, 0)
+    return _rewritten(rule, fn)
 
 
 def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
-    text = str(op.param("text"))
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
     feature = op.scope.feature or ""
-    anchors = attribute_anchors(rule, feature)
-    matched = 0
-    body = rule.body
-    # Last anchor first: an insertion shifts the paths of what follows it.
-    for anchor in reversed(anchors):
-        node = node_at(body, anchor)
+    terminator = Keyword(text=str(op.param("text")))
+    # The terminator follows each bare assignment anchor, and in a group
+    # anchor the feature's last assignment among the group's children; keyed
+    # by the path of the node holding it, the indices it follows there.
+    after: dict[Path, set[int]] = {}
+    for anchor in attribute_anchors(rule, feature):
+        node = node_at(rule.body, anchor)
         if isinstance(node, Group):
-            idx = None
+            last = [i for i, c in enumerate(node.children) if isinstance(c, Assignment) and c.feature == feature]
+            if last:
+                after.setdefault(anchor, set()).add(last[-1])
+        elif anchor:
+            after.setdefault(anchor[:-1], set()).add(anchor[-1])
+
+    def fn(node: Expression, path: Path):
+        ends = after.get(path)
+        if ends is None:
+            return node, 0
+        if isinstance(node, Alternatives):
+            # A branch of its own: the terminator joins it, not the choice.
+            kids = [Group(children=(c, terminator)) if i in ends else c for i, c in enumerate(node.branches)]
+        else:
+            kids = []
             for i, child in enumerate(node.children):
-                if isinstance(child, Assignment) and child.feature == feature:
-                    idx = i
-            if idx is None:
-                continue
-            kids = node.children[: idx + 1] + (Keyword(text=text),) + node.children[idx + 1 :]
-            body = _replace_at(body, anchor, replace(node, children=kids))
-            matched += 1
-        elif isinstance(node, Assignment):
-            if not anchor:
-                continue
-            parent_path = anchor[:-1]
-            parent = node_at(body, parent_path)
-            if isinstance(parent, Alternatives):
-                # A branch of its own: the terminator joins it, not the choice.
-                body = _replace_at(body, anchor, Group(children=(node, Keyword(text=text))))
-            else:
-                kids = list(children_of(parent))
-                kids.insert(anchor[-1] + 1, Keyword(text=text))
-                body = _replace_at(body, parent_path, with_children(parent, tuple(kids)))
-            matched += 1
-    return (replace(rule, body=body), matched) if matched else (rule, 0)
+                kids += (child, terminator) if i in ends else (child,)
+        return with_children(node, tuple(kids)), len(ends)
+
+    return _rewritten(rule, fn)
 
 
 def _apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
@@ -548,11 +466,18 @@ def _apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[Parser
             and node.terminal.rule_name == old
             and _path_within(path, anchors)
         ):
-            return replace(node, terminal=replace(node.terminal, rule_name=new))
-        return None
+            return replace(node, terminal=replace(node.terminal, rule_name=new)), 1
+        return node, 0
 
-    body, matched = _rewrite_nodes(rule.body, (), fn)
-    return (replace(rule, body=body), matched) if matched else (rule, 0)
+    return _rewritten(rule, fn)
+
+
+def _replace_at(root: Expression, path: Path, new_node: Expression) -> Expression:
+    if not path:
+        return new_node
+    kids = list(children_of(root))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new_node)
+    return with_children(root, tuple(kids))
 
 
 def _remove_at(body: Group, path: Path, remove: set[int]) -> Group:

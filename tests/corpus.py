@@ -15,7 +15,7 @@ from xtadapt.model import (
     node_at,
     walk,
 )
-from xtadapt.parsing import normalized_tokens, parse_grammar, print_grammar, rule_signature
+from xtadapt.parsing import parse_grammar, print_grammar, rule_signature, tokenize
 from xtadapt.transform import (
     OpKind,
     TransformOp,
@@ -27,6 +27,17 @@ from xtadapt.transform import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def normalize_token(token: str) -> str:
+    """Canonical form for comparison: double-quoted literals become single-quoted."""
+    if len(token) >= 2 and token[0] == '"' and token[-1] == '"':
+        return "'" + token[1:-1] + "'"
+    return token
+
+
+def normalized_tokens(source_text: str) -> list[str]:
+    return [normalize_token(t) for t in tokenize(source_text)]
 
 
 def grammar_body_tokens(grammar: Grammar) -> list[str]:

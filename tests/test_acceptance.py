@@ -23,6 +23,7 @@ from corpus import (
     grammar_body_tokens,
     load_grammar,
     load_pair,
+    normalized_tokens,
     random_mutation_pair,
     read_fixture,
 )
@@ -41,7 +42,6 @@ from xtadapt.llm import (
 )
 from xtadapt.model import Alternatives, Assignment, Grammar, walk
 from xtadapt.parsing import (
-    normalized_tokens,
     parse_grammar,
     print_grammar,
 )

@@ -108,6 +108,18 @@ def test_apply_warns_on_absent_rule(tmp_path, capsys):
     assert "NO_MATCH" in capsys.readouterr().err
 
 
+def test_apply_removes_the_star_keyword(tmp_path):
+    """A ``"*"`` text is the literal ``'*'`` keyword, not a wildcard."""
+    g2 = tmp_path / "g2.xtext"
+    g2.write_text("Mul: 'mul' '*' x=ID;\n\nDiv: 'div' '*' y=ID;\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    entry = {"kind": "REMOVE_KEYWORD", "scope": {"kind": "GRAMMAR"}, "params": {"text": "*"}}
+    config.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    out = tmp_path / "out.xtext"
+    assert main(["apply", "--config", str(config), "--g2", str(g2), "--out", str(out)]) == 0
+    assert parse_grammar(out.read_text(encoding="utf-8")) == parse_grammar("Mul: 'mul' x=ID;\n\nDiv: 'div' y=ID;")
+
+
 def test_apply_invalid_config_exit_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"entries": [{"kind": "NOT_A_KIND", "scope": {"kind": "RULE"}}]}', encoding="utf-8")

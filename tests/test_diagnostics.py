@@ -182,6 +182,9 @@ CASES = [
      [("empty group or alternative", (1, 13, 1, 13))]),
     ("parse_grammar", 'A: "a\\tb" x ];',
      [("unexpected token ']' in rule body", (1, 13, 1, 13))]),
+    # parse_terminal_decl: a token other than ':' or ';' after the name
+    ("parse_grammar", "terminal ID 'x';",
+     [("expected ':' or ';' after terminal ID", (1, 13, 1, 15))]),
 
 ]
 

@@ -113,6 +113,19 @@ def test_extract_is_deterministic():
     assert first.config == second.config
 
 
+def test_extract_removes_the_star_keyword_without_fallback():
+    """``'*'`` is a keyword like any other, so its removal is a catalog op."""
+    g1 = parse_grammar("Mul: 'mul' '*' x=ID;\n\nDiv: 'div' '*' y=ID;")
+    g1prime = parse_grammar("Mul: 'mul' x=ID;\n\nDiv: 'div' y=ID;")
+    result = extract_config(g1, g1prime)
+    assert result.fallback_count == 0
+    assert [(op.kind, op.scope.rule, dict(op.params)) for op in result.config.entries] == [
+        (OpKind.REMOVE_KEYWORD, "Mul", {"text": "*"}),
+        (OpKind.REMOVE_KEYWORD, "Div", {"text": "*"}),
+    ]
+    assert apply_config(result.config, g1)[0] == g1prime
+
+
 @pytest.mark.parametrize("name,expressible", PAIRS)
 def test_round_trip_over_corpus(name, expressible):
     g1, g1prime = load_pair(name)

@@ -50,6 +50,14 @@ def test_prompt_texts_contain_protocol_sentences():
     assert FOLLOW_UP_TEXT.split("{ISSUES}")[0] in follow_up
 
 
+def test_prompt_1_keeps_placeholder_text_inside_the_grammars():
+    """A grammar whose text holds ``{G1_PRIME}`` is quoted as written."""
+    g1 = "A: {G1_PRIME} x=ID;"
+    assert render_prompt_1(g1, "B: y=ID;") == (
+        PROMPT_1_TEXT + "\n\nGenerated grammar:\n" + g1 + "\n\nTarget grammar:\nB: y=ID;"
+    )
+
+
 def test_scripted_success(mission_inputs):
     g1, g1prime, g2 = mission_inputs
     backend = scripted("I have identified the adaptations.", print_grammar(g1prime))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PAIRS, corpus_grammars, load_grammar, random_mutation_pair, read_fixture
+from corpus import PAIRS, corpus_grammars, load_grammar, normalized_tokens, random_mutation_pair, read_fixture
 from xtadapt.model import (
     ActionAnnotation,
     Alternatives,
@@ -24,7 +24,6 @@ from xtadapt.parsing import (
     ParseDiagnostic,
     TokenizeError,
     UnprintableError,
-    normalized_tokens,
     parse_grammar,
     parse_rule_body,
     print_grammar,

@@ -143,33 +143,6 @@ def test_change_separator_to_ampersand():
     assert '("&" bounds+=XGenericType)*' in print_rule(adapted.rules[0]).replace("'", '"')
 
 
-def test_remove_keyword_any_at_attribute_scope(mission_pair):
-    g1, _ = mission_pair
-    from xtadapt.transform import ANY_KEYWORD
-
-    any_kw = op(OpKind.REMOVE_KEYWORD, attribute_scope("Mission", "category"), text=ANY_KEYWORD)
-    adapted, matched = apply_single(any_kw, g1)
-    assert matched == 1
-    line = print_rule(find_rule(adapted, "Mission"))
-    assert "'category'" not in line
-    assert "category=Identifier" in line
-    assert "'uuid'" in line  # other attribute keywords untouched
-
-
-def test_remove_keyword_any_at_rule_scope(mission_pair):
-    g1, _ = mission_pair
-    from xtadapt.transform import ANY_KEYWORD
-
-    any_kw = op(OpKind.REMOVE_KEYWORD, rule_scope("Mission"), text=ANY_KEYWORD)
-    adapted, matched = apply_single(any_kw, g1)
-    # Rule keyword plus one keyword per attribute (ownedComment included).
-    assert matched == 6
-    line = print_rule(find_rule(adapted, "Mission"))
-    for text in ("'Mission'", "'shortName'", "'category'", "'uuid'", "'name'", "'ownedComment'"):
-        assert text not in line
-    assert "shortName=Identifier" in line
-
-
 def test_no_match_is_warning_not_error(mission_pair):
     g1, _ = mission_pair
     config = TransformationConfig(
