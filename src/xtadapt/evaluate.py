@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 from .conformance import ConformanceFinding
-from .extract import infer_rule_ops
+from .extract import _infer
 from .model import (
     Assignment,
     CrossReference,
@@ -283,7 +283,7 @@ def _pair_types(
         return _signature_scan(present, empty_shell)
     if src_sig == dst_sig:
         return set()
-    ops, fell_back = infer_rule_ops(src, dst)
+    ops, fell_back = _infer(src, dst, src_sig, dst_sig)
     if fell_back:
         return _signature_scan(src, dst)
     return {_TYPE_OF_OP[op.kind] for op in ops if op.kind is not OpKind.REPLACE_RULE}

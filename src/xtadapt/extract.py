@@ -20,9 +20,7 @@ from .model import (
     Group,
     Keyword,
     ParserRule,
-    Path,
     RuleCall,
-    assignments_of,
     children_of,
     is_brace,
     node_at,
@@ -30,15 +28,14 @@ from .model import (
 )
 from .parsing import render_body_inline, rule_signature, token_distance
 from .transform import (
+    _APPLIERS,
     PHASE_OF,
     OpKind,
+    RuleIndex,
     TransformOp,
     TransformationConfig,
-    _brace_region,
     apply_config,
-    apply_single,
     attribute_scope,
-    feature_anchors,
     rule_scope,
 )
 
@@ -90,36 +87,13 @@ class _FeatureContext:
     before_braces: bool
 
 
-def _body_children(rule: ParserRule) -> tuple[Expression, ...]:
-    body = rule.body
-    return body.children if isinstance(body, Group) else (body,)
-
-
-@dataclass
-class _RuleFacts:
-    """What every feature context of one rule shares, computed once."""
-
-    rule: ParserRule
-    paths: dict[str, list[Path]]  # assignment paths per feature, in feature order
-    anchors: dict[str, list[Path]]
-    braces: tuple[int, bool] | None  # (index, wrapped) of the brace region
-
-    @classmethod
-    def of(cls, rule: ParserRule) -> _RuleFacts:
-        paths: dict[str, list[Path]] = {}
-        for path, assignment in assignments_of(rule):
-            paths.setdefault(assignment.feature, []).append(path)
-        return cls(rule, paths, feature_anchors(rule), _brace_region(_body_children(rule)))
-
-
-def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
-    rule = facts.rule
-    paths = facts.paths[feature]
-    anchor_node = node_at(rule.body, facts.anchors[feature][0])
+def _feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> _FeatureContext:
+    paths = index.paths[feature]
+    anchor_node = node_at(rule.body, index.anchors[feature][0])
 
     first = paths[0]
     parent = node_at(rule.body, first[:-1]) if first else rule.body
-    siblings = children_of(parent) if first else _body_children(rule)
+    siblings = children_of(parent) if first else (rule.body,)
     idx = first[-1] if first else 0
 
     keyword_before: str | None = None
@@ -161,8 +135,8 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
         calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
 
     before_braces = True
-    if facts.braces is not None and first:
-        before_braces = first[0] < facts.braces[0]
+    if index.braces is not None and first:
+        before_braces = first[0] < index.braces[0]
     return _FeatureContext(
         feature=feature,
         anchor_node=anchor_node,
@@ -177,29 +151,14 @@ def _feature_context(facts: _RuleFacts, feature: str) -> _FeatureContext:
     )
 
 
-def _keyword_texts(rule: ParserRule) -> list[str]:
-    return [
-        n.text
-        for _, n in walk(rule.body)
-        if isinstance(n, Keyword) and not is_brace(n)
-    ]
-
-
-def _leading_keyword(rule: ParserRule) -> str | None:
-    for child in _body_children(rule):
-        if isinstance(child, Keyword):
-            return None if is_brace(child) else child.text
-        if isinstance(child, (Assignment, Group)):
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Candidate generation
 # ---------------------------------------------------------------------------
 
 
-def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
+def _candidates(
+    src: ParserRule, dst: ParserRule, src_index: RuleIndex, dst_index: RuleIndex
+) -> list[TransformOp]:
     name = src.name
     ops: list[TransformOp] = []
 
@@ -208,14 +167,13 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
         if op not in ops:
             ops.append(op)
 
-    src_facts, dst_facts = _RuleFacts.of(src), _RuleFacts.of(dst)
-    dst_keywords = set(_keyword_texts(dst))
+    dst_keywords = set(dst_index.keywords)
 
-    for feature in src_facts.paths:
-        if feature not in dst_facts.paths:
+    for feature in src_index.paths:
+        if feature not in dst_index.paths:
             continue
-        sc = _feature_context(src_facts, feature)
-        dc = _feature_context(dst_facts, feature)
+        sc = _feature_context(src, src_index, feature)
+        dc = _feature_context(dst, dst_index, feature)
         scope = attribute_scope(name, feature)
         if not sc.before_braces and dc.before_braces and dc.keyword_before is None:
             add(OpKind.PROMOTE_ATTRIBUTE, scope, {"anchor": "BEFORE_BRACES"})
@@ -258,17 +216,16 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
                 )
 
     # Rule-level structure.
-    src_brace, dst_brace = src_facts.braces, dst_facts.braces
+    src_brace, dst_brace = src_index.braces, dst_index.braces
     if src_brace is not None and not src_brace[1]:
         if dst_brace is not None and dst_brace[1]:
             add(OpKind.MAKE_BRACES_OPTIONAL, rule_scope(name))
         if dst_brace is None:
             add(OpKind.REMOVE_BRACES, rule_scope(name))
 
-    src_lead = _leading_keyword(src)
-    dst_lead = _leading_keyword(dst)
+    src_lead, dst_lead = src_index.leading, dst_index.leading
     if src_lead is not None and src_lead not in dst_keywords:
-        if dst_lead is not None and dst_lead not in set(_keyword_texts(src)):
+        if dst_lead is not None and dst_lead not in src_index.keywords:
             add(
                 OpKind.RENAME_KEYWORD,
                 rule_scope(name),
@@ -278,16 +235,8 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
 
     # Generic sweep for leftover keyword deletions; repetition separators are
     # excluded so CHANGE_SEPARATOR keeps ownership of them.
-    src_separators = {
-        n.children[0].text
-        for _, n in walk(src.body)
-        if isinstance(n, Group)
-        and n.cardinality in (Cardinality.STAR, Cardinality.PLUS)
-        and n.children
-        and isinstance(n.children[0], Keyword)
-    }
-    for text in _keyword_texts(src):
-        if text not in dst_keywords and text not in src_separators:
+    for text in src_index.keywords:
+        if text not in dst_keywords and text not in src_index.separators:
             add(OpKind.REMOVE_KEYWORD, rule_scope(name), {"text": text})
 
     ops.sort(key=lambda op: PHASE_OF[op.kind])
@@ -297,12 +246,6 @@ def _candidates(src: ParserRule, dst: ParserRule) -> list[TransformOp]:
 # ---------------------------------------------------------------------------
 # Greedy inference with the replay oracle
 # ---------------------------------------------------------------------------
-
-
-def _apply_to_rule(op: TransformOp, rule: ParserRule) -> tuple[ParserRule, int]:
-    mini = Grammar(rules=(rule,))
-    out, matched = apply_single(op, mini)
-    return out.rules[0], matched
 
 
 def infer_rule_ops(
@@ -315,15 +258,26 @@ def infer_rule_ops(
     replace any partial inference so later entries cannot damage the
     replacement.
     """
-    target_sig = rule_signature(dst)
-    src_sig = rule_signature(src)
+    return _infer(src, dst, rule_signature(src), rule_signature(dst))
+
+
+#: Kinds whose op matches nothing unless the rule holds the keyword that
+#: this param names (never a brace, for a candidate).
+_KEYWORD_PARAM = {OpKind.REMOVE_KEYWORD: "text", OpKind.RENAME_KEYWORD: "from"}
+
+
+def _infer(
+    src: ParserRule, dst: ParserRule, src_sig: list[str], target_sig: list[str]
+) -> tuple[list[TransformOp], bool]:
+    """``infer_rule_ops`` given the signatures of both rules."""
     if src_sig == target_sig:
         return [], False
     if src.returns_type != dst.returns_type or src.enum != dst.enum:
         return [_fallback_op(dst, src)], True
     working = src
+    index = src_index = RuleIndex(src)
     distance = token_distance(src_sig, target_sig)
-    candidates = _candidates(src, dst)
+    candidates = _candidates(src, dst, src_index, RuleIndex(dst))
     accepted: list[TransformOp] = []
     progress = True
     while progress and distance > 0:
@@ -331,7 +285,10 @@ def infer_rule_ops(
         for cand in candidates:
             if cand in accepted:
                 continue
-            new_rule, matched = _apply_to_rule(cand, working)
+            param = _KEYWORD_PARAM.get(cand.kind)
+            if param is not None and cand.param(param) not in index.keywords:
+                continue  # matches nothing
+            new_rule, matched = _APPLIERS[cand.kind](working, cand, index)
             if matched == 0:
                 continue
             new_distance = token_distance(rule_signature(new_rule), target_sig)
@@ -339,6 +296,9 @@ def infer_rule_ops(
                 working, distance = new_rule, new_distance
                 accepted.append(cand)
                 progress = True
+                if not distance:
+                    break  # no later candidate can lower it
+                index = RuleIndex(working)
     if distance > 0:
         return [_fallback_op(dst, src)], True
     ordered = sorted(accepted, key=lambda op: PHASE_OF[op.kind])
@@ -346,9 +306,11 @@ def infer_rule_ops(
         # The greedy loop validated ops in acceptance order; replay runs them
         # phase-bucketed, which can disagree when ops overlap structurally.
         # In acceptance order the replay would redo the loop's own applies.
-        replayed = src
+        replayed, index = src, src_index
         for op in ordered:
-            replayed, _ = _apply_to_rule(op, replayed)
+            replayed, matched = _APPLIERS[op.kind](replayed, op, index)
+            if matched:
+                index = RuleIndex(replayed)
         if rule_signature(replayed) != target_sig:
             return [_fallback_op(dst, src)], True
     return ordered, False
@@ -372,11 +334,15 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
     """
     pairing = pair_rules(g1, g1prime)
     src_rules = {r.name: r for r in g1.rules}
-    dst_rules = {r.name: r for r in g1prime.rules}
+    # Each paired G1' rule is signed once, for the search and the check.
+    target_sigs = [rule_signature(r) if r.name in src_rules else None for r in g1prime.rules]
+    dst_rules = {r.name: (r, sig) for r, sig in zip(g1prime.rules, target_sigs)}
     entries: list[TransformOp] = []
     fallback_count = 0
     for rule_name in pairing.pairs:
-        ops, fell_back = infer_rule_ops(src_rules[rule_name], dst_rules[rule_name])
+        src = src_rules[rule_name]
+        dst, dst_sig = dst_rules[rule_name]
+        ops, fell_back = _infer(src, dst, rule_signature(src), dst_sig)
         if fell_back:
             fallback_count += 1
         entries.extend(ops)
@@ -392,21 +358,26 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
         else f"identity: {g1.name or 'unnamed'} pair has no rule differences"
     )
     config = TransformationConfig(entries=tuple(entries), provenance=provenance)
-    _verify_round_trip(config, g1, g1prime)
+    _verify_round_trip(config, g1, g1prime, target_sigs)
     return ExtractionResult(config=config, fallback_count=fallback_count)
 
 
 def _verify_round_trip(
-    config: TransformationConfig, g1: Grammar, g1prime: Grammar
+    config: TransformationConfig,
+    g1: Grammar,
+    g1prime: Grammar,
+    target_sigs: list[list[str] | None],
 ) -> None:
+    """Replay ``config`` on ``g1`` and check every rule against ``g1prime``,
+    given the signatures of its rules that ``g1`` also names, in rule order."""
     replayed, _ = apply_config(config, g1)
     replayed_rules = {r.name: r for r in replayed.rules}
     target_names = {r.name for r in g1prime.rules}
-    for rule in g1prime.rules:
+    for rule, target_sig in zip(g1prime.rules, target_sigs):
         got = replayed_rules.get(rule.name)
         if got is None:
             continue  # rule added on the evolved-metamodel path, not extractable
-        if rule_signature(got) != rule_signature(rule):
+        if rule_signature(got) != target_sig:
             raise ExtractionError(
                 f"extracted config does not replay rule {rule.name!r}"
             )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 from typing import Iterable, Mapping
 
 from .model import (
@@ -25,7 +24,6 @@ from .model import (
     ParserRule,
     Path,
     RuleCall,
-    assignments_of,
     brace_span,
     children_of,
     grammar_problems,
@@ -158,62 +156,96 @@ class ApplyReport:
 # ---------------------------------------------------------------------------
 
 
-def attribute_anchors(rule: ParserRule, feature: str) -> list[Path]:
-    """Region anchors for a feature: for each assignment, the highest
-    enclosing Group all of whose assignments target the same feature (the
-    repetition/optionality wrapper), else the assignment node itself.
-
-    The body root only qualifies when it carries no foreign keyword, so a
-    single-attribute rule like ``'Label' '{' ('value' value=X) '}'`` anchors
-    at the wrapper group, not at the whole body.
-    """
-    return feature_anchors(rule).get(feature, [])
-
-
 #: Sole-feature marker of a subtree whose assignments target several features.
 _MIXED = object()
 
 
-def feature_anchors(rule: ParserRule) -> dict[str, list[Path]]:
-    """``attribute_anchors`` of every feature of ``rule``, keyed in order of
-    each feature's first assignment, from one bottom-up walk of the body."""
-    found: list[list] = []  # [feature, anchor] per assignment, in pre-order
+class RuleIndex:
+    """What scope resolution and the extractor read of one rule state, from
+    one bottom-up walk of its body: each feature's assignment ``paths`` and
+    region ``anchors`` (keyed in order of first assignment), the non-brace
+    ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
+    the body's ``braces`` region and the ``leading`` keyword, if any.
 
-    def visit(node: Expression, path: Path) -> tuple[object, list[int]]:
-        """The one feature below ``node`` (None if none, _MIXED if several)
-        and the assignments whose anchor may still rise above ``node``."""
-        sole: object = None
-        if isinstance(node, Assignment):
-            sole, own = node.feature, [len(found)]
-            found.append([node.feature, path])
-        rising: list[int] = []
-        for i, child in enumerate(children_of(node)):
-            if not isinstance(child, (Assignment, Group, Alternatives)):
-                continue  # a leaf holds no assignment
-            child_sole, child_rising = visit(child, path + (i,))
-            if child_sole is not None and child_sole != sole:
-                sole = child_sole if sole is None else _MIXED
-            rising += child_rising
-        if isinstance(node, Assignment):
-            return sole, own  # what its terminal holds stops there
-        if (
-            isinstance(node, Group)
-            and rising
-            and sole is not _MIXED
-            and _is_region(node, sole, path == ())
-        ):
-            for i in rising:
-                found[i][1] = path
-            return sole, rising
-        return sole, []
+    A feature's anchor, per assignment, is the highest enclosing Group all
+    of whose assignments target the feature (the repetition/optionality
+    wrapper), else the assignment itself.  The body root only qualifies
+    without a foreign keyword: ``'Label' '{' ('value' value=X) '}'``
+    anchors at the wrapper group, not at the whole body."""
 
-    visit(rule.body, ())
-    anchors: dict[str, list[Path]] = {}
-    for feature, anchor in found:
-        seen = anchors.setdefault(feature, [])
-        if anchor not in seen:
-            seen.append(anchor)
-    return anchors
+    __slots__ = ("paths", "anchors", "keywords", "separators", "braces", "leading")
+
+    def __init__(self, rule: ParserRule):
+        found: list[list] = []  # [feature, path, anchor] per assignment, in pre-order
+        keywords: list[str] = []
+        separators: set[str] = set()
+
+        def visit(node: Expression, path: Path) -> tuple[object, list[int]]:
+            """The one feature below ``node`` (None if none, _MIXED if
+            several) and the assignments whose anchor may still rise above
+            ``node``."""
+            sole: object = None
+            if isinstance(node, Assignment):
+                sole, own = node.feature, [len(found)]
+                found.append([node.feature, path, path])
+                kids: tuple[Expression, ...] = (node.terminal,)
+            elif isinstance(node, Group):
+                kids = node.children
+                if (
+                    node.cardinality in (Cardinality.STAR, Cardinality.PLUS)
+                    and kids
+                    and isinstance(kids[0], Keyword)
+                ):
+                    separators.add(kids[0].text)
+            else:
+                kids = node.branches
+            rising: list[int] = []
+            for i, child in enumerate(kids):
+                if isinstance(child, Keyword):
+                    if not is_brace(child):
+                        keywords.append(child.text)
+                    continue
+                if not isinstance(child, (Assignment, Group, Alternatives)):
+                    continue  # a leaf holds no assignment
+                child_sole, child_rising = visit(child, path + (i,))
+                if child_sole is not None and child_sole != sole:
+                    sole = child_sole if sole is None else _MIXED
+                rising += child_rising
+            if isinstance(node, Assignment):
+                return sole, own  # what its terminal holds stops there
+            if (
+                isinstance(node, Group)
+                and rising
+                and sole is not _MIXED
+                and _is_region(node, sole, path == ())
+            ):
+                for i in rising:
+                    found[i][2] = path
+                return sole, rising
+            return sole, []
+
+        body = rule.body
+        if isinstance(body, (Assignment, Group, Alternatives)):
+            visit(body, ())
+        elif isinstance(body, Keyword) and not is_brace(body):
+            keywords.append(body.text)
+        self.paths: dict[str, list[Path]] = {}
+        self.anchors: dict[str, list[Path]] = {}
+        for feature, path, anchor in found:
+            self.paths.setdefault(feature, []).append(path)
+            seen = self.anchors.setdefault(feature, [])
+            if anchor not in seen:
+                seen.append(anchor)
+        self.keywords = keywords
+        self.separators = separators
+        children = body.children if isinstance(body, Group) else (body,)
+        self.braces = _brace_region(children)
+        self.leading: str | None = None
+        for child in children:
+            if isinstance(child, Keyword):
+                self.leading = None if is_brace(child) else child.text
+            if isinstance(child, (Keyword, Assignment, Group)):
+                break
 
 
 def _is_region(group: Group, feature: str, is_body: bool) -> bool:
@@ -237,14 +269,12 @@ def _is_word(text: str) -> bool:
     return bool(text) and (text[0].isalpha() or text[0] == "_")
 
 
-def _scope_anchor_paths(rule: ParserRule, scope: Scope) -> list[Path]:
-    if scope.kind is ScopeKind.ATTRIBUTE:
-        return attribute_anchors(rule, scope.feature or "")
+def _scope_anchors(op: TransformOp, index: RuleIndex | None) -> list[Path]:
+    """An ATTRIBUTE scope's region anchors, read from the index, else the body root."""
+    if op.scope.kind is ScopeKind.ATTRIBUTE:
+        assert index is not None
+        return index.anchors.get(op.scope.feature or "", [])
     return [()]
-
-
-def _path_within(path: Path, anchors: Iterable[Path]) -> bool:
-    return any(path[: len(a)] == a for a in anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +282,14 @@ def _path_within(path: Path, anchors: Iterable[Path]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _collapse(expr: Expression, shrunk: bool) -> Expression | None:
-    """Drop emptied nodes and unwrap plain singletons after removals.
+def _collapse(expr: Expression) -> Expression | None:
+    """Drop an emptied node and unwrap a plain singleton after removals.
 
     A singleton that keeps a cardinality or predicate takes the shape its
     printed form re-parses to: the marks move onto a sole plain group, and a
     single-branch Alternatives turns into a Group.
     """
-    if not shrunk or not isinstance(expr, (Group, Alternatives)):
+    if not isinstance(expr, (Group, Alternatives)):
         return expr
     kids = children_of(expr)
     if not kids:
@@ -276,34 +306,48 @@ def _collapse(expr: Expression, shrunk: bool) -> Expression | None:
     return expr
 
 
-def _rewrite(expr: Expression, path: Path, fn) -> tuple[Expression | None, int]:
-    """Apply ``fn(node, path) -> (node | None, matched)`` bottom-up, where
-    ``node`` has its rewritten children and ``path`` is its path in the input
-    tree.  A matched count of 0 keeps the node and None removes it; a Group
-    or Alternatives left with fewer children than it had is collapsed."""
+def _rewrite(
+    expr: Expression, path: Path, fn, reach: dict[Path, bool] | None
+) -> tuple[Expression | None, int]:
+    """Apply ``fn(node, path, inside) -> (node | None, matched)`` bottom-up,
+    where ``node`` has its rewritten children and ``path`` is its path in the
+    input tree.  A matched count of 0 keeps the node and None removes it; a
+    Group or Alternatives left with fewer children than it had is collapsed.
+
+    With a ``reach`` map, only the nodes it holds are descended into: an
+    anchor (True) with its whole subtree, a node on the way to one (False)
+    child by child; any other node goes to ``fn`` with its children
+    unvisited.  ``inside`` tells whether the node is in an anchor's subtree,
+    which every node is without a map."""
     matched = 0
     kids = children_of(expr)
-    if kids:
+    if kids and (reach is None or path in reach):
+        inner = None if reach is None or reach[path] else reach
         new_kids = []
         for i, child in enumerate(kids):
-            new, m = _rewrite(child, path + (i,), fn)
+            new, m = _rewrite(child, path + (i,), fn, inner)
             matched += m
             if new is not None:
                 new_kids.append(new)
         if matched:
             expr = with_children(expr, tuple(new_kids))
-    new, m = fn(expr, path)
+    new, m = fn(expr, path, reach is None or reach.get(path, False))
     if m:
         if new is None:
             return None, matched + m
         expr, matched = new, matched + m
-    return _collapse(expr, len(children_of(expr)) < len(kids)), matched
+    if matched and len(children_of(expr)) < len(kids):
+        return _collapse(expr), matched
+    return expr, matched
 
 
-def _rewritten(rule: ParserRule, fn) -> tuple[ParserRule, int]:
-    """``rule`` with its body passed through ``_rewrite``; an edit that
-    matches nothing, or empties the body, leaves the rule as it is."""
-    body, matched = _rewrite(rule.body, (), fn)
+def _rewritten(rule: ParserRule, fn, anchors: list[Path]) -> tuple[ParserRule, int]:
+    """``rule`` with its body passed through ``_rewrite``, reaching only
+    ``anchors`` and the nodes on the way to them; an edit that matches
+    nothing, or empties the body, leaves the rule as it is."""
+    reach = {a[:k]: False for a in anchors for k in range(len(a))}
+    reach.update(dict.fromkeys(anchors, True))
+    body, matched = _rewrite(rule.body, (), fn, reach)
     if body is None or not matched:
         return rule, 0
     return replace(rule, body=body), matched
@@ -328,38 +372,42 @@ def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_remove_keyword(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     text = op.param("text")
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         if (
             isinstance(node, Keyword)
             and node.text == text
-            and (_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
+            and (inside or _sibling_of_anchor(path, anchors))
             # an assignment's ``?='kw'`` terminal is not a sequence element
             and not isinstance(node_at(rule.body, path[:-1]), Assignment)
         ):
             return None, 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
-def _apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_rename_keyword(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         if (
             isinstance(node, Keyword)
             and node.text == old
-            and (_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
+            and (inside or _sibling_of_anchor(path, anchors))
         ):
             return replace(node, text=new), 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
 def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
@@ -371,46 +419,53 @@ def _sibling_of_anchor(path: Path, anchors: Iterable[Path]) -> bool:
     )
 
 
-def _apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
-    anchors = _scope_anchor_paths(rule, op.scope)
+def _apply_remove_braces(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
-        if isinstance(node, Group) and _path_within(path, anchors):
+    def fn(node: Expression, path: Path, inside: bool):
+        if isinstance(node, Group) and inside:
             span = brace_span(node.children)
             if span is not None:
                 kept = [c for i, c in enumerate(node.children) if i not in span]
                 return replace(node, children=tuple(kept)), 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
 def _apply_set_optionality(
-    rule: ParserRule, op: TransformOp, target: Cardinality, source: Cardinality
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
 ) -> tuple[ParserRule, int]:
-    anchors = set(_scope_anchor_paths(rule, op.scope))
+    source, target = Cardinality.ONE, Cardinality.OPTIONAL
+    if op.kind is OpKind.REMOVE_OPTIONALITY:
+        source, target = target, source
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         if path in anchors and node.cardinality is source:
             return replace(node, cardinality=target), 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
-def _apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_change_separator(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     old = str(op.param("from"))
     new = op.param("to")  # None means: drop the separator
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         if (
             isinstance(node, Group)
             and node.cardinality in (Cardinality.STAR, Cardinality.PLUS)
             and node.children
             and isinstance(node.children[0], Keyword)
             and node.children[0].text == old
-            and _path_within(path, anchors)
+            and inside
         ):
             rest = node.children[1:]
             if new is not None:
@@ -418,10 +473,12 @@ def _apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRu
             return replace(node, children=rest), 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
-def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_add_terminator(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
     feature = op.scope.feature or ""
@@ -430,7 +487,8 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
     # anchor the feature's last assignment among the group's children; keyed
     # by the path of the node holding it, the indices it follows there.
     after: dict[Path, set[int]] = {}
-    for anchor in attribute_anchors(rule, feature):
+    anchors = _scope_anchors(op, index)
+    for anchor in anchors:
         node = node_at(rule.body, anchor)
         if isinstance(node, Group):
             last = [i for i, c in enumerate(node.children) if isinstance(c, Assignment) and c.feature == feature]
@@ -439,7 +497,7 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
         elif anchor:
             after.setdefault(anchor[:-1], set()).add(anchor[-1])
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         ends = after.get(path)
         if ends is None:
             return node, 0
@@ -452,24 +510,26 @@ def _apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule
                 kids += (child, terminator) if i in ends else (child,)
         return with_children(node, tuple(kids)), len(ends)
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
-def _apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_change_called_rule(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _scope_anchors(op, index)
 
-    def fn(node: Expression, path: Path):
+    def fn(node: Expression, path: Path, inside: bool):
         if (
             isinstance(node, Assignment)
             and isinstance(node.terminal, RuleCall)
             and node.terminal.rule_name == old
-            and _path_within(path, anchors)
+            and inside
         ):
             return replace(node, terminal=replace(node.terminal, rule_name=new)), 1
         return node, 0
 
-    return _rewritten(rule, fn)
+    return _rewritten(rule, fn, anchors)
 
 
 def _replace_at(root: Expression, path: Path, new_node: Expression) -> Expression:
@@ -489,20 +549,23 @@ def _remove_at(body: Group, path: Path, remove: set[int]) -> Group:
     kids = tuple(c for i, c in enumerate(children_of(node)) if i not in remove)
     if not path:
         return with_children(node, kids)
-    shrunk = _collapse(with_children(node, kids), True)
+    shrunk = _collapse(with_children(node, kids))
     if shrunk is None:
         return _remove_at(body, path[:-1], {path[-1]})
     return _replace_at(body, path, shrunk)
 
 
-def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_promote_attribute(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
     feature = op.scope.feature or ""
     body = rule.body
     if not isinstance(body, Group):
         return rule, 0
-    paths = [p for p, a in assignments_of(rule) if a.feature == feature]
+    assert index is not None
+    paths = index.paths.get(feature)
     if not paths:
         return rule, 0
     first = paths[0]
@@ -531,7 +594,9 @@ def _apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserR
     return replace(rule, body=replace(body, children=new_children)), 1
 
 
-def _apply_make_braces_optional(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+def _apply_make_braces_optional(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
     body = rule.body
     if not isinstance(body, Group):
         return rule, 0
@@ -547,7 +612,7 @@ def _apply_make_braces_optional(rule: ParserRule, op: TransformOp) -> tuple[Pars
 
 
 def _apply_replace_rule(
-    rule: ParserRule, op: TransformOp
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
 ) -> tuple[ParserRule | None, int]:
     if op.param("remove"):
         return None, 1
@@ -567,19 +632,17 @@ def _apply_replace_rule(
     return new_rule, 1
 
 
-#: Every operation kind's rule-level applier ``(rule, op) -> (rule, matched)``;
-#: a None rule (REPLACE_RULE with ``remove``) deletes the rule.
+#: Every operation kind's rule-level applier ``(rule, op, index) -> (rule,
+#: matched)``, where ``index`` is the rule's ``RuleIndex`` (None is enough
+#: for a RULE or GRAMMAR scope); a None rule (REPLACE_RULE with ``remove``)
+#: deletes the rule.
 _APPLIERS = {
     OpKind.REPLACE_RULE: _apply_replace_rule,
     OpKind.REMOVE_KEYWORD: _apply_remove_keyword,
     OpKind.RENAME_KEYWORD: _apply_rename_keyword,
     OpKind.REMOVE_BRACES: _apply_remove_braces,
-    OpKind.REMOVE_OPTIONALITY: partial(
-        _apply_set_optionality, target=Cardinality.ONE, source=Cardinality.OPTIONAL
-    ),
-    OpKind.ADD_OPTIONALITY: partial(
-        _apply_set_optionality, target=Cardinality.OPTIONAL, source=Cardinality.ONE
-    ),
+    OpKind.REMOVE_OPTIONALITY: _apply_set_optionality,
+    OpKind.ADD_OPTIONALITY: _apply_set_optionality,
     OpKind.CHANGE_SEPARATOR: _apply_change_separator,
     OpKind.ADD_TERMINATOR: _apply_add_terminator,
     OpKind.CHANGE_CALLED_RULE: _apply_change_called_rule,
@@ -615,16 +678,19 @@ def _apply_in_order(
     rules: list[ParserRule] = []
     for rule in grammar.rules:
         own = by_rule.get(rule.name, [])
+        index = None  # the rule state's index, built once an op needs it
         for i in sorted(own + everywhere):
             op = ops[i]
+            if index is None and op.scope.kind is ScopeKind.ATTRIBUTE:
+                index = RuleIndex(rule)
             try:
-                new_rule, m = _APPLIERS[op.kind](rule, op)
+                new_rule, m = _APPLIERS[op.kind](rule, op, index)
             except TransformError as err:
                 errors.setdefault(i, err)
                 break
             if m:
                 matched[i] += m
-                rule = new_rule
+                rule, index = new_rule, None
                 if rule is None:
                     break
         if rule is not None:

@@ -19,9 +19,9 @@ from xtadapt.parsing import parse_grammar, print_grammar, rule_signature, tokeni
 from xtadapt.transform import (
     OpKind,
     TransformOp,
+    RuleIndex,
     TransformationConfig,
     apply_config,
-    attribute_anchors,
     attribute_scope,
     rule_scope,
 )
@@ -142,6 +142,7 @@ _SEPARATOR_POOL = [";", "&", None]
 def _mutation_candidates(grammar: Grammar) -> list[TransformOp]:
     ops: list[TransformOp] = []
     for rule in grammar.rules:
+        index = RuleIndex(rule)
         features = []
         for _, node in walk(rule.body):
             if isinstance(node, Assignment) and node.feature not in features:
@@ -167,7 +168,7 @@ def _mutation_candidates(grammar: Grammar) -> list[TransformOp]:
                     break
         for feature in features:
             scope = attribute_scope(rule.name, feature)
-            anchors = attribute_anchors(rule, feature)
+            anchors = index.anchors.get(feature, [])
             if not anchors:
                 continue
             anchor_node = node_at(rule.body, anchors[0])

@@ -13,6 +13,7 @@ from corpus import (
     random_mutation_pair,
     read_fixture,
 )
+import xtadapt.transform as transform
 from xtadapt.extract import extract_config, infer_rule_ops, pair_rules
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar, print_grammar
@@ -228,3 +229,46 @@ def test_round_trip_on_random_mutants(data):
     result = extract_config(base, mutated)
     adapted, _ = apply_config(result.config, base)
     assert grammar_body_tokens(adapted) == grammar_body_tokens(mutated)
+
+
+# -- counted work of the pair search ---------------------------------------------
+
+#: The known-answer trio's rule pair: the attribute keyword goes.
+_TRIO = ("R returns R: 'R' '{' ('a' a=ID)? '}';", "R returns R: 'R' '{' (a=ID)? '}';")
+
+
+def _trio_rules():
+    src, dst = (parse_grammar(text).rules[0] for text in _TRIO)
+    return src, dst
+
+
+def test_trio_search_makes_one_applier_call(monkeypatch):
+    """The first trial reaches distance 0, so it is the only one."""
+    calls = []
+    for kind, applier in list(transform._APPLIERS.items()):
+
+        def counted(*args, kind=kind, applier=applier):
+            calls.append(kind)
+            return applier(*args)
+
+        monkeypatch.setitem(transform._APPLIERS, kind, counted)
+    ops, fell_back = infer_rule_ops(*_trio_rules())
+    assert not fell_back
+    assert [op.kind for op in ops] == [OpKind.REMOVE_KEYWORD]
+    assert calls == [OpKind.REMOVE_KEYWORD]
+
+
+def test_trio_search_indexes_each_rule_state_once(monkeypatch):
+    """The source and the target are indexed once each; the accepted state
+    is at distance 0 and needs no index."""
+    built = []
+    build = transform.RuleIndex.__init__
+
+    def counted(self, rule):
+        built.append(rule)
+        build(self, rule)
+
+    monkeypatch.setattr(transform.RuleIndex, "__init__", counted)
+    src, dst = _trio_rules()
+    infer_rule_ops(src, dst)
+    assert built == [src, dst]

@@ -3,7 +3,11 @@
 ``_ref_edit_children`` (bottom-up, editing child lists), ``_ref_rewrite_nodes``
 (pre-order, replacing nodes), ``_ref_collapse`` and the eight ``_ref_apply_*``
 appliers are the code that the one ``_rewrite`` walker replaced, kept as
-references only.  ``_ref_apply_remove_keyword`` leaves out the old ``"*"``
+references only; they resolve scopes with ``_ref_feature_anchors``, the
+anchor walk that ``RuleIndex`` replaced.  ``_ref_rewrite`` is ``_rewrite``
+before it learned to prune: every applier must give the same result when
+its walk descends only along the scope's anchors as when it visits the
+whole body.  ``_ref_apply_remove_keyword`` leaves out the old ``"*"``
 wildcard branch: ``'*'`` is a literal keyword like any other now.
 
 Two shapes come out differently on purpose, and the reference marks them as
@@ -50,16 +54,17 @@ from xtadapt.model import (
     walk,
     with_children,
 )
+import xtadapt.transform as transform
 from xtadapt.parsing import parse_grammar, print_grammar
 from xtadapt.transform import (
     _APPLIERS,
     OpKind,
+    RuleIndex,
+    Scope,
     ScopeKind,
     TransformOp,
-    _path_within,
-    _scope_anchor_paths,
+    _is_region,
     _sibling_of_anchor,
-    attribute_anchors,
     attribute_scope,
     grammar_scope,
     rule_scope,
@@ -68,6 +73,79 @@ from xtadapt.transform import (
 #: Nodes (by identity) and output paths where the reference left a shape
 #: that the walker collapses; filled by the reference as it runs.
 _PINNED: list = []
+
+_MIXED = object()
+
+
+def _ref_feature_anchors(rule: ParserRule) -> dict[str, list[Path]]:
+    found: list[list] = []
+
+    def visit(node: Expression, path: Path) -> tuple[object, list[int]]:
+        sole: object = None
+        if isinstance(node, Assignment):
+            sole, own = node.feature, [len(found)]
+            found.append([node.feature, path])
+        rising: list[int] = []
+        for i, child in enumerate(children_of(node)):
+            if not isinstance(child, (Assignment, Group, Alternatives)):
+                continue
+            child_sole, child_rising = visit(child, path + (i,))
+            if child_sole is not None and child_sole != sole:
+                sole = child_sole if sole is None else _MIXED
+            rising += child_rising
+        if isinstance(node, Assignment):
+            return sole, own
+        if (
+            isinstance(node, Group)
+            and rising
+            and sole is not _MIXED
+            and _is_region(node, sole, path == ())
+        ):
+            for i in rising:
+                found[i][1] = path
+            return sole, rising
+        return sole, []
+
+    visit(rule.body, ())
+    anchors: dict[str, list[Path]] = {}
+    for feature, anchor in found:
+        seen = anchors.setdefault(feature, [])
+        if anchor not in seen:
+            seen.append(anchor)
+    return anchors
+
+
+def _ref_scope_anchor_paths(rule: ParserRule, scope: Scope) -> list[Path]:
+    if scope.kind is ScopeKind.ATTRIBUTE:
+        return _ref_feature_anchors(rule).get(scope.feature or "", [])
+    return [()]
+
+
+def _ref_path_within(path: Path, anchors) -> bool:
+    return any(path[: len(a)] == a for a in anchors)
+
+
+def _ref_rewrite(expr: Expression, path: Path, fn, reach=None) -> tuple[Expression | None, int]:
+    """``_rewrite`` visiting every node; ``inside`` is read from the anchors
+    (the paths ``reach`` maps to True) for each node."""
+    anchors = [()] if reach is None else [p for p, full in reach.items() if full]
+    matched = 0
+    kids = children_of(expr)
+    if kids:
+        new_kids = []
+        for i, child in enumerate(kids):
+            new, m = _ref_rewrite(child, path + (i,), fn, reach)
+            matched += m
+            if new is not None:
+                new_kids.append(new)
+        if matched:
+            expr = with_children(expr, tuple(new_kids))
+    new, m = fn(expr, path, _ref_path_within(path, anchors))
+    if m:
+        if new is None:
+            return None, matched + m
+        expr, matched = new, matched + m
+    return _ref_collapse(expr, len(children_of(expr)) < len(kids)), matched
 
 
 def _ref_collapse(expr: Expression, shrunk: bool) -> Expression | None:
@@ -141,10 +219,10 @@ def _ref_replace_at(root: Expression, path: Path, new_node: Expression) -> Expre
 
 def _ref_apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     text = op.param("text")
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
 
     def removable(kw: Keyword, path: Path) -> bool:
-        if not (_path_within(path, anchors) or _sibling_of_anchor(path, anchors)):
+        if not (_ref_path_within(path, anchors) or _sibling_of_anchor(path, anchors)):
             return False
         return kw.text == text
 
@@ -167,13 +245,13 @@ def _ref_apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[Parser
 
 def _ref_apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
 
     def fn(node: Expression, path: Path):
         if (
             isinstance(node, Keyword)
             and node.text == old
-            and (_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
+            and (_ref_path_within(path, anchors) or _sibling_of_anchor(path, anchors))
         ):
             return replace(node, text=new)
         return None
@@ -183,13 +261,13 @@ def _ref_apply_rename_keyword(rule: ParserRule, op: TransformOp) -> tuple[Parser
 
 
 def _ref_apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
 
     def editor(node: Expression, path: Path):
         if not isinstance(node, Group):
             return None, 0
         kids = children_of(node)
-        if not _path_within(path, anchors):
+        if not _ref_path_within(path, anchors):
             return None, 0
         span = brace_span(kids)
         if span is None:
@@ -207,7 +285,7 @@ def _ref_apply_remove_braces(rule: ParserRule, op: TransformOp) -> tuple[ParserR
 def _ref_apply_set_optionality(
     rule: ParserRule, op: TransformOp, target: Cardinality, source: Cardinality
 ) -> tuple[ParserRule, int]:
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
     matched = 0
     body = rule.body
     for anchor in anchors:
@@ -221,7 +299,7 @@ def _ref_apply_set_optionality(
 def _ref_apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     old = str(op.param("from"))
     new = op.param("to")
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
 
     def fn(node: Expression, path: Path):
         if (
@@ -230,7 +308,7 @@ def _ref_apply_change_separator(rule: ParserRule, op: TransformOp) -> tuple[Pars
             and node.children
             and isinstance(node.children[0], Keyword)
             and node.children[0].text == old
-            and _path_within(path, anchors)
+            and _ref_path_within(path, anchors)
         ):
             sep = node.children[0]
             if new is None:
@@ -252,7 +330,7 @@ def _ref_apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[Parser
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
     feature = op.scope.feature or ""
-    anchors = attribute_anchors(rule, feature)
+    anchors = _ref_feature_anchors(rule).get(feature, [])
     matched = 0
     body = rule.body
     for anchor in reversed(anchors):
@@ -284,14 +362,14 @@ def _ref_apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[Parser
 
 def _ref_apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     old, new = str(op.param("from")), str(op.param("to"))
-    anchors = _scope_anchor_paths(rule, op.scope)
+    anchors = _ref_scope_anchor_paths(rule, op.scope)
 
     def fn(node: Expression, path: Path):
         if (
             isinstance(node, Assignment)
             and isinstance(node.terminal, RuleCall)
             and node.terminal.rule_name == old
-            and _path_within(path, anchors)
+            and _ref_path_within(path, anchors)
         ):
             return replace(node, terminal=replace(node.terminal, rule_name=new))
         return None
@@ -340,10 +418,23 @@ def _expected(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     return expected, matched
 
 
+def _full_walk(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+    """The applier's result with ``_rewrite`` visiting the whole body."""
+    pruned = transform._rewrite
+    transform._rewrite = _ref_rewrite
+    try:
+        return _APPLIERS[op.kind](rule, op, RuleIndex(rule))
+    finally:
+        transform._rewrite = pruned
+
+
 def _same_as_reference(rule: ParserRule, op: TransformOp) -> bool:
-    """Assert the applier agrees with the reference; True on a pinned shape."""
+    """Assert the applier agrees with the reference, and its pruned walk
+    with the full one; True on a pinned shape."""
     expected = _expected(rule, op)
-    assert _APPLIERS[op.kind](rule, op) == expected, (op.describe(), rule)
+    got = _APPLIERS[op.kind](rule, op, RuleIndex(rule))
+    assert got == expected, (op.describe(), rule)
+    assert got == _full_walk(rule, op), (op.describe(), rule)
     return bool(_PINNED)
 
 
@@ -463,7 +554,7 @@ def test_drawn_rules_agree_with_the_reference(rule, data):
 def _applied(text: str, entry: TransformOp) -> str:
     grammar = parse_grammar(text)
     assert isinstance(grammar, Grammar)
-    rule, matched = _APPLIERS[entry.kind](grammar.rules[0], entry)
+    rule, matched = _APPLIERS[entry.kind](grammar.rules[0], entry, RuleIndex(grammar.rules[0]))
     assert matched
     adapted = Grammar(rules=(rule,))
     printed = print_grammar(adapted)
