@@ -162,6 +162,39 @@ def with_children(expr: Expression, children: tuple[Expression, ...]) -> Express
     return expr
 
 
+def settle(expr: Expression) -> Expression:
+    """``expr`` in branch position (a rule body or an alternative): a plain
+    single-child group becomes its child, repeatedly.  Such positions print
+    a plain sequence without parens, so this is the tree the printed text
+    parses back to; the parser builds every branch through it."""
+    while isinstance(expr, Group) and len(expr.children) == 1 and expr.plain:
+        expr = expr.children[0]
+    return expr
+
+
+def collapse(expr: Expression) -> Expression | None:
+    """A node that lost children, in the shape its printing parses back to:
+    None when emptied, its child when a plain singleton.  A singleton that
+    keeps a cardinality or predicate moves the marks onto a sole plain group
+    (``((a b))?`` reads back as ``(a b)?``), and a single-branch
+    Alternatives turns into a Group."""
+    if not isinstance(expr, (Group, Alternatives)):
+        return expr
+    kids = children_of(expr)
+    if not kids:
+        return None
+    if len(kids) == 1:
+        only = kids[0]
+        if expr.plain:
+            return only
+        marks = {"cardinality": expr.cardinality, "predicated": expr.predicated}
+        if isinstance(only, (Group, Alternatives)) and only.plain:
+            return replace(only, **marks)
+        if isinstance(expr, Alternatives):
+            return Group(children=kids, **marks)
+    return expr
+
+
 def is_brace(expr: Expression) -> bool:
     """Whether ``expr`` is a ``'{'`` or ``'}'`` keyword (an action's braces
     are not keywords)."""

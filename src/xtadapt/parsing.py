@@ -34,6 +34,7 @@ from .model import (
     TerminalDecl,
     brace_span,
     is_brace,
+    settle,
 )
 
 MAX_NESTING_DEPTH = 64
@@ -418,13 +419,7 @@ class _Parser:
         if not elements:
             self.abort("empty group or alternative")
         if len(elements) == 1:
-            # Branch and body positions print sequences bare, so a redundant
-            # singleton paren group must normalize here or the printed form
-            # would re-parse to a different tree.
-            element = elements[0]
-            while isinstance(element, Group) and len(element.children) == 1 and element.plain:
-                element = element.children[0]
-            return element
+            return settle(elements[0])
         return Group(children=tuple(elements))
 
     def parse_element(self, depth: int) -> Expression:
@@ -629,15 +624,22 @@ def printable_keyword(text: str) -> bool:
     return any(fits.fullmatch(text) for fits in _FITS_QUOTE.values())
 
 
+def keyword_quote(text: str, quote: str = "'") -> str:
+    """The quote a keyword with ``text`` prints and parses back in: ``quote``
+    if the text fits there, else the other one (which it may not fit)."""
+    quote = '"' if quote == '"' else "'"
+    if _FITS_QUOTE[quote].fullmatch(text):
+        return quote
+    return "'" if quote == '"' else '"'
+
+
 def _keyword_token(kw: Keyword, normalized: bool) -> str:
     """``kw`` in its own quote if its text fits there, else in the other;
     ``normalized`` gives the comparison form ``'text'``."""
     text = kw.text
-    quote = '"' if kw.quote == '"' else "'"
+    quote = keyword_quote(text, kw.quote)
     if not _FITS_QUOTE[quote].fullmatch(text):
-        quote = "'" if quote == '"' else '"'
-        if not _FITS_QUOTE[quote].fullmatch(text):
-            raise UnprintableError(f"keyword {text!r} fits in neither quote")
+        raise UnprintableError(f"keyword {text!r} fits in neither quote")
     return "'" + text + "'" if normalized else quote + text + quote
 
 

@@ -26,12 +26,14 @@ from .model import (
     RuleCall,
     brace_span,
     children_of,
+    collapse,
     grammar_problems,
     is_brace,
     node_at,
+    settle,
     with_children,
 )
-from .parsing import parse_rule_body, printable_keyword, printable_name
+from .parsing import keyword_quote, parse_rule_body, printable_keyword, printable_name
 
 
 class TransformError(Exception):
@@ -282,37 +284,14 @@ def _scope_anchors(op: TransformOp, index: RuleIndex | None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _collapse(expr: Expression) -> Expression | None:
-    """Drop an emptied node and unwrap a plain singleton after removals.
-
-    A singleton that keeps a cardinality or predicate takes the shape its
-    printed form re-parses to: the marks move onto a sole plain group, and a
-    single-branch Alternatives turns into a Group.
-    """
-    if not isinstance(expr, (Group, Alternatives)):
-        return expr
-    kids = children_of(expr)
-    if not kids:
-        return None
-    if len(kids) == 1:
-        only = kids[0]
-        if expr.plain:
-            return only
-        marks = {"cardinality": expr.cardinality, "predicated": expr.predicated}
-        if isinstance(only, (Group, Alternatives)) and only.plain:
-            return replace(only, **marks)  # ``((a b))?`` reads back as ``(a b)?``
-        if isinstance(expr, Alternatives):
-            return Group(children=kids, **marks)
-    return expr
-
-
 def _rewrite(
     expr: Expression, path: Path, fn, reach: dict[Path, bool] | None
 ) -> tuple[Expression | None, int]:
     """Apply ``fn(node, path, inside) -> (node | None, matched)`` bottom-up,
     where ``node`` has its rewritten children and ``path`` is its path in the
     input tree.  A matched count of 0 keeps the node and None removes it; a
-    Group or Alternatives left with fewer children than it had is collapsed.
+    Group or Alternatives left with fewer children than it had is collapsed,
+    and an alternative that changed is settled.
 
     With a ``reach`` map, only the nodes it holds are descended into: an
     anchor (True) with its whole subtree, a node on the way to one (False)
@@ -323,12 +302,13 @@ def _rewrite(
     kids = children_of(expr)
     if kids and (reach is None or path in reach):
         inner = None if reach is None or reach[path] else reach
+        branches = isinstance(expr, Alternatives)
         new_kids = []
         for i, child in enumerate(kids):
             new, m = _rewrite(child, path + (i,), fn, inner)
             matched += m
             if new is not None:
-                new_kids.append(new)
+                new_kids.append(settle(new) if m and branches else new)
         if matched:
             expr = with_children(expr, tuple(new_kids))
     new, m = fn(expr, path, reach is None or reach.get(path, False))
@@ -337,20 +317,20 @@ def _rewrite(
             return None, matched + m
         expr, matched = new, matched + m
     if matched and len(children_of(expr)) < len(kids):
-        return _collapse(expr), matched
+        return collapse(expr), matched
     return expr, matched
 
 
 def _rewritten(rule: ParserRule, fn, anchors: list[Path]) -> tuple[ParserRule, int]:
     """``rule`` with its body passed through ``_rewrite``, reaching only
-    ``anchors`` and the nodes on the way to them; an edit that matches
-    nothing, or empties the body, leaves the rule as it is."""
+    ``anchors`` and the nodes on the way to them, and settled; an edit that
+    matches nothing, or empties the body, leaves the rule as it is."""
     reach = {a[:k]: False for a in anchors for k in range(len(a))}
     reach.update(dict.fromkeys(anchors, True))
     body, matched = _rewrite(rule.body, (), fn, reach)
     if body is None or not matched:
         return rule, 0
-    return replace(rule, body=body), matched
+    return replace(rule, body=settle(body)), matched
 
 
 def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
@@ -404,7 +384,7 @@ def _apply_rename_keyword(
             and node.text == old
             and (inside or _sibling_of_anchor(path, anchors))
         ):
-            return replace(node, text=new), 1
+            return replace(node, text=new, quote=keyword_quote(new, node.quote)), 1
         return node, 0
 
     return _rewritten(rule, fn, anchors)
@@ -469,7 +449,8 @@ def _apply_change_separator(
         ):
             rest = node.children[1:]
             if new is not None:
-                rest = (replace(node.children[0], text=str(new)),) + rest
+                sep = node.children[0]
+                rest = (replace(sep, text=str(new), quote=keyword_quote(str(new), sep.quote)),) + rest
             return replace(node, children=rest), 1
         return node, 0
 
@@ -482,11 +463,15 @@ def _apply_add_terminator(
     if op.scope.kind is not ScopeKind.ATTRIBUTE:
         return rule, 0
     feature = op.scope.feature or ""
-    terminator = Keyword(text=str(op.param("text")))
-    # The terminator follows each bare assignment anchor, and in a group
-    # anchor the feature's last assignment among the group's children; keyed
-    # by the path of the node holding it, the indices it follows there.
+    text = str(op.param("text"))
+    terminator = Keyword(text=text, quote=keyword_quote(text))
+    # The terminator follows each bare assignment anchor in a sequence, and
+    # in a group anchor the feature's last assignment among the group's
+    # children: keyed by the path of the group holding it, the indices it
+    # follows there.  A bare assignment that is a branch or the body joins
+    # the terminator in a group of its own.
     after: dict[Path, set[int]] = {}
+    wrap: set[Path] = set()
     anchors = _scope_anchors(op, index)
     for anchor in anchors:
         node = node_at(rule.body, anchor)
@@ -494,20 +479,20 @@ def _apply_add_terminator(
             last = [i for i, c in enumerate(node.children) if isinstance(c, Assignment) and c.feature == feature]
             if last:
                 after.setdefault(anchor, set()).add(last[-1])
-        elif anchor:
+        elif anchor and isinstance(node_at(rule.body, anchor[:-1]), Group):
             after.setdefault(anchor[:-1], set()).add(anchor[-1])
+        else:
+            wrap.add(anchor)
 
     def fn(node: Expression, path: Path, inside: bool):
+        if path in wrap:
+            return Group(children=(node, terminator)), 1
         ends = after.get(path)
         if ends is None:
             return node, 0
-        if isinstance(node, Alternatives):
-            # A branch of its own: the terminator joins it, not the choice.
-            kids = [Group(children=(c, terminator)) if i in ends else c for i, c in enumerate(node.branches)]
-        else:
-            kids = []
-            for i, child in enumerate(node.children):
-                kids += (child, terminator) if i in ends else (child,)
+        kids = []
+        for i, child in enumerate(node.children):
+            kids += (child, terminator) if i in ends else (child,)
         return with_children(node, tuple(kids)), len(ends)
 
     return _rewritten(rule, fn, anchors)
@@ -532,66 +517,37 @@ def _apply_change_called_rule(
     return _rewritten(rule, fn, anchors)
 
 
-def _replace_at(root: Expression, path: Path, new_node: Expression) -> Expression:
-    if not path:
-        return new_node
-    kids = list(children_of(root))
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new_node)
-    return with_children(root, tuple(kids))
-
-
-def _remove_at(body: Group, path: Path, remove: set[int]) -> Group:
-    """``body`` without the children at indices ``remove`` of the node at
-    ``path``.  A node left empty is removed from its parent in turn, and
-    each node below the body that lost children is collapsed, so the result
-    prints to text that re-parses to it."""
-    node = node_at(body, path)
-    kids = tuple(c for i, c in enumerate(children_of(node)) if i not in remove)
-    if not path:
-        return with_children(node, kids)
-    shrunk = _collapse(with_children(node, kids))
-    if shrunk is None:
-        return _remove_at(body, path[:-1], {path[-1]})
-    return _replace_at(body, path, shrunk)
-
-
 def _apply_promote_attribute(
     rule: ParserRule, op: TransformOp, index: RuleIndex | None
 ) -> tuple[ParserRule, int]:
-    if op.scope.kind is not ScopeKind.ATTRIBUTE:
-        return rule, 0
-    feature = op.scope.feature or ""
-    body = rule.body
-    if not isinstance(body, Group):
+    if op.scope.kind is not ScopeKind.ATTRIBUTE or not isinstance(rule.body, Group):
         return rule, 0
     assert index is not None
-    paths = index.paths.get(feature)
+    paths = index.paths.get(op.scope.feature or "")
     if not paths:
         return rule, 0
+    # Remove the first assignment and a keyword right before it, and insert
+    # it at the body root before the brace region (after the leading keyword)
+    # while the root is not yet collapsed, so a lone rest such as ``(a b)?``
+    # keeps its marks.  A removal that empties the rest matches nothing.
     first = paths[0]
-    assignment = node_at(body, first)
-    assert isinstance(assignment, Assignment)
+    promoted = replace(node_at(rule.body, first), predicated=False)
+    remove = [first]
+    before = first[:-1] + (first[-1] - 1,)
+    if first[-1] > 0 and isinstance(kw := node_at(rule.body, before), Keyword) and not is_brace(kw):
+        remove.append(before)
 
-    # Remove the assignment and a keyword sibling immediately before it.
-    parent_path = first[:-1]
-    parent = node_at(body, parent_path)
-    kids = list(children_of(parent))
-    idx = first[-1]
-    remove = {idx}
-    if idx > 0 and isinstance(kids[idx - 1], Keyword) and not is_brace(kids[idx - 1]):
-        remove.add(idx - 1)
-    body = _remove_at(body, parent_path, remove)
-    if not children_of(body):
-        return rule, 0
+    def fn(node: Expression, path: Path, inside: bool):
+        if path in remove:
+            return None, 1
+        if path or not node.children:
+            return node, 0
+        region = _brace_region(node.children)
+        at = len(node.children) if region is None else region[0]
+        return replace(node, children=node.children[:at] + (promoted,) + node.children[at:]), 1
 
-    # Insert before the brace region, i.e. right after the rule's leading
-    # keyword.
-    assert isinstance(body, Group)
-    region = _brace_region(body.children)
-    insert_at = len(body.children) if region is None else region[0]
-    promoted = replace(assignment, predicated=False)
-    new_children = body.children[:insert_at] + (promoted,) + body.children[insert_at:]
-    return replace(rule, body=replace(body, children=new_children)), 1
+    new_rule, matched = _rewritten(rule, fn, remove)
+    return new_rule, min(matched, 1)
 
 
 def _apply_make_braces_optional(
@@ -608,7 +564,7 @@ def _apply_make_braces_optional(
         children=body.children[lo : hi + 1], cardinality=Cardinality.OPTIONAL
     )
     new_children = body.children[:lo] + (wrapped,) + body.children[hi + 1 :]
-    return replace(rule, body=replace(body, children=new_children)), 1
+    return replace(rule, body=settle(replace(body, children=new_children))), 1
 
 
 def _apply_replace_rule(

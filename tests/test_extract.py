@@ -127,6 +127,12 @@ def test_extract_removes_the_star_keyword_without_fallback():
     assert apply_config(result.config, g1)[0] == g1prime
 
 
+def test_extract_adds_a_terminator_to_a_bare_assignment_body():
+    result = extract_config(parse_grammar("R: x=A;"), parse_grammar("R: x=A ';';"))
+    assert [entry.describe() for entry in result.config.entries] == ["ADD_TERMINATOR(text=';') @ attribute R.x"]
+    assert result.fallback_count == 0
+
+
 @pytest.mark.parametrize("name,expressible", PAIRS)
 def test_round_trip_over_corpus(name, expressible):
     g1, g1prime = load_pair(name)

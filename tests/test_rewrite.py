@@ -1,17 +1,20 @@
 """The scoped appliers against the tree walkers they replaced.
 
 ``_ref_edit_children`` (bottom-up, editing child lists), ``_ref_rewrite_nodes``
-(pre-order, replacing nodes), ``_ref_collapse`` and the eight ``_ref_apply_*``
-appliers are the code that the one ``_rewrite`` walker replaced, kept as
-references only; they resolve scopes with ``_ref_feature_anchors``, the
-anchor walk that ``RuleIndex`` replaced.  ``_ref_rewrite`` is ``_rewrite``
-before it learned to prune: every applier must give the same result when
-its walk descends only along the scope's anchors as when it visits the
-whole body.  ``_ref_apply_remove_keyword`` leaves out the old ``"*"``
-wildcard branch: ``'*'`` is a literal keyword like any other now.
+(pre-order, replacing nodes), ``_ref_replace_at``, ``_ref_remove_at``,
+``_ref_collapse`` and the nine ``_ref_apply_*`` appliers are the code that
+the one ``_rewrite`` walker replaced, kept as references only; they resolve
+scopes with ``_ref_feature_anchors``, the anchor walk that ``RuleIndex``
+replaced.  ``_ref_rewrite`` is ``_rewrite`` visiting the whole body: every
+applier must give the same result when its walk descends only along the
+scope's anchors as when it visits the whole body.
+``_ref_apply_remove_keyword`` leaves out the old ``"*"`` wildcard branch:
+``'*'`` is a literal keyword like any other now.  ``_ref_apply_add_terminator``
+wraps a bare-assignment body with its terminator, as the applier now does;
+it used to skip that body.
 
-Two shapes come out differently on purpose, and the reference marks them as
-it makes them (``_PINNED``):
+Three shapes come out differently on purpose, and the reference marks them
+as it makes them (``_PINNED``, ``_SETTLED``):
 
 - *emptied sibling*: a node that lost a child only because that child was
   emptied (``A: 'a' (b=ID ('x' 'x')?) c=ID;`` without ``'x'``) used to stay
@@ -19,9 +22,12 @@ it makes them (``_PINNED``):
 - *separator remainder*: dropping the separator of ``(',' (a b))*`` used to
   leave ``((a b))*``, and of ``(',')*`` an empty group; the group that lost
   its separator is collapsed now, to ``(a b)*``, and removed when empty.
+- *settled branch*: a rule body, or an alternative that changed, used to be
+  left as a plain single-child group, such as ``(b=B)`` in ``'a' (b=B) | 'c'``
+  without ``'a'``; it prints as its child and now is its child.
 
 On a marked input the property expects the reference's result with the
-marked nodes collapsed as the walker collapses them.
+marked nodes collapsed as the walker collapses them, and settled.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from xtadapt.model import (
     assignments_of,
     brace_span,
     children_of,
+    is_brace,
     node_at,
     walk,
     with_children,
@@ -63,8 +70,10 @@ from xtadapt.transform import (
     Scope,
     ScopeKind,
     TransformOp,
+    _brace_region,
     _is_region,
     _sibling_of_anchor,
+    apply_single,
     attribute_scope,
     grammar_scope,
     rule_scope,
@@ -73,6 +82,24 @@ from xtadapt.transform import (
 #: Nodes (by identity) and output paths where the reference left a shape
 #: that the walker collapses; filled by the reference as it runs.
 _PINNED: list = []
+#: Changed alternatives (by identity) that the reference left as plain
+#: single-child groups, which the walker settles.
+_SETTLED: list = []
+
+
+def _settled(expr: Expression | None) -> Expression | None:
+    """A plain single-child group's child, repeatedly."""
+    while isinstance(expr, Group) and len(expr.children) == 1 and expr.plain:
+        expr = expr.children[0]
+    return expr
+
+
+def _mark_branch(parent: Expression, child: Expression | None) -> None:
+    """Mark ``child``, a changed child of ``parent``, if it is an alternative
+    that the walker settles (settled branch)."""
+    if isinstance(parent, Alternatives) and _settled(child) is not child:
+        _SETTLED.append(child)
+
 
 _MIXED = object()
 
@@ -137,7 +164,7 @@ def _ref_rewrite(expr: Expression, path: Path, fn, reach=None) -> tuple[Expressi
             new, m = _ref_rewrite(child, path + (i,), fn, reach)
             matched += m
             if new is not None:
-                new_kids.append(new)
+                new_kids.append(_settled(new) if m and isinstance(expr, Alternatives) else new)
         if matched:
             expr = with_children(expr, tuple(new_kids))
     new, m = fn(expr, path, _ref_path_within(path, anchors))
@@ -176,6 +203,8 @@ def _ref_edit_children(expr: Expression, path: Path, editor) -> tuple[Expression
             matched += m
             if new_child is not None:
                 new_kids.append(new_child)
+                if m:
+                    _mark_branch(expr, new_child)
         expr = with_children(expr, tuple(new_kids))
         if isinstance(expr, (Group, Alternatives)):
             edited, m = editor(expr, path)
@@ -205,6 +234,8 @@ def _ref_rewrite_nodes(expr: Expression, path: Path, fn) -> tuple[Expression, in
             nc, m = _ref_rewrite_nodes(child, path + (i,), fn)
             new_kids.append(nc)
             matched += m
+            if m:
+                _mark_branch(expr, nc)
         expr = with_children(expr, tuple(new_kids))
     return expr, matched
 
@@ -214,7 +245,19 @@ def _ref_replace_at(root: Expression, path: Path, new_node: Expression) -> Expre
         return new_node
     kids = list(children_of(root))
     kids[path[0]] = _ref_replace_at(kids[path[0]], path[1:], new_node)
+    _mark_branch(root, kids[path[0]])
     return with_children(root, tuple(kids))
+
+
+def _ref_remove_at(body: Group, path: Path, remove: set[int]) -> Group:
+    node = node_at(body, path)
+    kids = tuple(c for i, c in enumerate(children_of(node)) if i not in remove)
+    if not path:
+        return with_children(node, kids)
+    shrunk = _ref_collapse(with_children(node, kids), True)
+    if shrunk is None:
+        return _ref_remove_at(body, path[:-1], {path[-1]})
+    return _ref_replace_at(body, path, shrunk)
 
 
 def _ref_apply_remove_keyword(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
@@ -346,7 +389,9 @@ def _ref_apply_add_terminator(rule: ParserRule, op: TransformOp) -> tuple[Parser
             body = _ref_replace_at(body, anchor, replace(node, children=kids))
             matched += 1
         elif isinstance(node, Assignment):
-            if not anchor:
+            if not anchor:  # skipped before: the terminator joins the body
+                body = Group(children=(node, Keyword(text=text)))
+                matched += 1
                 continue
             parent_path = anchor[:-1]
             parent = node_at(body, parent_path)
@@ -378,6 +423,34 @@ def _ref_apply_change_called_rule(rule: ParserRule, op: TransformOp) -> tuple[Pa
     return (replace(rule, body=body), matched) if matched else (rule, 0)
 
 
+def _ref_apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+    if op.scope.kind is not ScopeKind.ATTRIBUTE:
+        return rule, 0
+    feature = op.scope.feature or ""
+    body = rule.body
+    if not isinstance(body, Group):
+        return rule, 0
+    paths = [p for p, a in assignments_of(rule) if a.feature == feature]
+    if not paths:
+        return rule, 0
+    first = paths[0]
+    assignment = node_at(body, first)
+    parent_path = first[:-1]
+    kids = list(children_of(node_at(body, parent_path)))
+    idx = first[-1]
+    remove = {idx}
+    if idx > 0 and isinstance(kids[idx - 1], Keyword) and not is_brace(kids[idx - 1]):
+        remove.add(idx - 1)
+    body = _ref_remove_at(body, parent_path, remove)
+    if not children_of(body):
+        return rule, 0
+    region = _brace_region(body.children)
+    insert_at = len(body.children) if region is None else region[0]
+    promoted = replace(assignment, predicated=False)
+    new_children = body.children[:insert_at] + (promoted,) + body.children[insert_at:]
+    return replace(rule, body=replace(body, children=new_children)), 1
+
+
 _REFERENCE = {
     OpKind.REMOVE_KEYWORD: _ref_apply_remove_keyword,
     OpKind.RENAME_KEYWORD: _ref_apply_rename_keyword,
@@ -391,31 +464,47 @@ _REFERENCE = {
     OpKind.CHANGE_SEPARATOR: _ref_apply_change_separator,
     OpKind.ADD_TERMINATOR: _ref_apply_add_terminator,
     OpKind.CHANGE_CALLED_RULE: _ref_apply_change_called_rule,
+    OpKind.PROMOTE_ATTRIBUTE: _ref_apply_promote_attribute,
 }
 
 
 def _collapse_pinned(expr: Expression, path: Path, pinned: list) -> Expression | None:
-    """The reference's result ``expr`` with every pinned node collapsed, and
-    every node that then loses a child collapsed in turn."""
+    """The reference's result ``expr`` with every pinned node collapsed,
+    every node that then loses a child collapsed in turn, and every settled
+    branch, or alternative changed here, settled."""
     mark = any(p is expr for p in pinned) or path in pinned
+    settle = any(p is expr for p in _SETTLED)
     kids = children_of(expr)
     if kids:
         rebuilt = [_collapse_pinned(c, path + (i,), pinned) for i, c in enumerate(kids)]
+        if isinstance(expr, Alternatives):
+            rebuilt = [c if c is old else _settled(c) for c, old in zip(rebuilt, kids)]
         kept = tuple(c for c in rebuilt if c is not None)
         mark = mark or len(kept) < len(kids)
-        expr = with_children(expr, kept)
-    return _ref_collapse(expr, mark)
+        if any(c is not old for c, old in zip(rebuilt, kids)):
+            expr = with_children(expr, kept)
+    expr = _ref_collapse(expr, mark)
+    return _settled(expr) if settle else expr
 
 
 def _expected(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
+    """The reference's result with the pinned shapes as the walker makes
+    them; a body that the reference leaves a plain single-child group is
+    settled, and counts as a settled branch."""
     _PINNED.clear()
+    _SETTLED.clear()
     expected, matched = _REFERENCE[op.kind](rule, op)
-    if _PINNED:
-        body = _collapse_pinned(expected.body, (), list(_PINNED))
+    if not matched:
+        return expected, matched
+    body = expected.body
+    if _PINNED or _SETTLED:
+        body = _collapse_pinned(body, (), list(_PINNED))
         if body is None:  # the separator was all the body held
             return rule, 0
-        expected = replace(expected, body=body)
-    return expected, matched
+    if _settled(body) is not body:
+        _SETTLED.append(body)
+        body = _settled(body)
+    return replace(expected, body=body), matched
 
 
 def _full_walk(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
@@ -435,7 +524,7 @@ def _same_as_reference(rule: ParserRule, op: TransformOp) -> bool:
     got = _APPLIERS[op.kind](rule, op, RuleIndex(rule))
     assert got == expected, (op.describe(), rule)
     assert got == _full_walk(rule, op), (op.describe(), rule)
-    return bool(_PINNED)
+    return bool(_PINNED or _SETTLED)
 
 
 def _ported_ops(grammar: Grammar) -> list[TransformOp]:
@@ -507,6 +596,7 @@ _ASSIGNMENT = st.one_of(
     ),
 )
 _LEAF = _KEYWORD | _ASSIGNMENT | st.builds(RuleCall, rule_name=st.sampled_from(_CALLS))
+
 _NODE = st.recursive(
     _LEAF,
     lambda inner: st.builds(Group, children=st.lists(inner, min_size=1, max_size=4), **_MARKS)
@@ -586,3 +676,83 @@ def test_separator_remainder_is_collapsed(text, expected):
     drop = TransformOp(OpKind.CHANGE_SEPARATOR, rule_scope("A"), {"from": ",", "to": None})
     assert _applied(text, drop) == expected
     assert _same_as_reference(parse_grammar(text).rules[0], drop)
+
+
+def test_settled_branch_is_its_child():
+    """A changed alternative or body that the reference leaves a plain
+    single-child group is that group's child: ``(b=B)`` prints as ``b=B``,
+    which parses back to the assignment."""
+    remove = TransformOp(OpKind.REMOVE_KEYWORD, rule_scope("R"), {"text": "a"})
+    assert _applied("R: 'a' (b=B) | 'c';", remove) == "R: b=B | 'c';"
+    assert _same_as_reference(parse_grammar("R: 'a' (b=B) | 'c';").rules[0], remove)
+    drawn = ParserRule("R", None, Group(children=(Keyword(text="k"),)))
+    rename = TransformOp(OpKind.RENAME_KEYWORD, rule_scope("R"), {"from": "k", "to": "new"})
+    assert _APPLIERS[rename.kind](drawn, rename, RuleIndex(drawn)) == (
+        ParserRule("R", None, Keyword(text="new")),
+        1,
+    )
+    assert _same_as_reference(drawn, rename)
+
+
+def test_terminator_joins_a_bare_assignment_body():
+    entry = TransformOp(OpKind.ADD_TERMINATOR, attribute_scope("R", "x"), {"text": ";"})
+    assert _applied("R: x=A;", entry) == "R: x=A ';';"
+    assert not _same_as_reference(parse_grammar("R: x=A;").rules[0], entry)
+
+
+def _promote(feature: str) -> TransformOp:
+    return TransformOp(OpKind.PROMOTE_ATTRIBUTE, attribute_scope("R", feature), {"anchor": "BEFORE_BRACES"})
+
+
+def test_promote_keeps_the_marks_of_the_rest_of_the_body():
+    """The rest of the body keeps its ``?`` when it is all that is left
+    besides the promoted assignment."""
+    assert _applied("R: 'n' name=ID (a=A b=B)?;", _promote("name")) == "R: (a=A b=B)? name=ID;"
+    assert not _same_as_reference(parse_grammar("R: 'n' name=ID (a=A b=B)?;").rules[0], _promote("name"))
+
+
+def test_promote_that_empties_the_rest_of_the_body_matches_nothing():
+    rule = parse_grammar("R: ('n' name=ID)?;").rules[0]
+    assert _APPLIERS[OpKind.PROMOTE_ATTRIBUTE](rule, _promote("name"), RuleIndex(rule)) == (rule, 0)
+    assert not _same_as_reference(rule, _promote("name"))
+
+
+# -- the print/parse fixpoint ---------------------------------------------------
+
+#: Small rules of mostly plain groups and choices, where a removal or a
+#: dropped mark most often leaves a body or an alternative a single child.
+_PLAINISH = {"cardinality": st.just(Cardinality.ONE) | _CARD, "predicated": st.just(False) | st.booleans()}
+_SMALL_RULE = st.builds(
+    lambda kids: ParserRule("R", None, Group(children=tuple(kids))),
+    st.lists(
+        st.recursive(
+            _LEAF,
+            lambda inner: st.builds(Group, children=st.lists(inner, min_size=1, max_size=2), **_PLAINISH)
+            | st.builds(Alternatives, branches=st.lists(inner, min_size=2, max_size=2), **_PLAINISH),
+            max_leaves=4,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def _reads_back(grammar: Grammar) -> bool:
+    return parse_grammar(print_grammar(grammar)) == grammar
+
+
+@settings(max_examples=600, deadline=None)
+@given(rule=_RULE | _SMALL_RULE, data=st.data())
+def test_drawn_bodies_stay_fixpoints_under_op_sequences(rule, data):
+    """A drawn body, read back through print and parse, rewritten by one to
+    three ops, each drawn from the ops of every kind that ``_ops_by_kind``
+    derives from the rule and a ``_drawn_op`` of every ported kind: each
+    result prints text that parses back to an equal grammar."""
+    grammar = parse_grammar(print_grammar(Grammar(rules=(rule,))))
+    assert _reads_back(grammar)
+    for _ in range(data.draw(st.integers(1, 3))):
+        ops = [entry for entries in _ops_by_kind(grammar).values() for entry in entries]
+        ops += [_drawn_op(kind, grammar.rules[0], data) for kind in sorted(_REFERENCE, key=lambda k: k.value)]
+        entry = data.draw(st.sampled_from(ops))
+        grammar, _ = apply_single(entry, grammar)
+        assert _reads_back(grammar), entry.describe()
