@@ -310,7 +310,8 @@ def _classify(
     counts: dict[AdaptationType, TypeCounts] = {t: TypeCounts() for t in AdaptationType}
     for name in required:
         tgt, tgt_sig = target.rule_by_name.get(name), target.by_name.get(name)
-        needed = _pair_types(g2.rule_by_name.get(name), tgt, g2.by_name.get(name), tgt_sig)
+        g2_rule, g2_sig = g2.rule_by_name.get(name), g2.by_name.get(name)
+        needed = _pair_types(g2_rule, tgt, g2_sig, tgt_sig)
         if not needed:
             continue
         cand_rule, cand_sig = cand.rule_by_name.get(name), cand.by_name.get(name)
@@ -318,8 +319,8 @@ def _classify(
             residual: set[AdaptationType] = set()
         elif tgt is None:
             residual = needed if cand_rule is not None else set()
-        elif cand_rule is None:
-            residual = needed
+        elif cand_rule is None or (cand_sig == g2_sig and cand_rule == g2_rule):
+            residual = needed  # left unadapted: the search that gave `needed`
         else:
             residual = _pair_types(cand_rule, tgt, cand_sig, tgt_sig)
         for adaptation_type in needed:

@@ -184,7 +184,9 @@ def extract_grammar_from_reply(reply_text: str) -> Grammar | ExtractionFailure:
 
     Tries the largest fenced code block first, then the region from the first
     ``grammar`` line to the end, then the whole reply when it looks like bare
-    grammar text (contains both ':' and ';').
+    grammar text (contains both ':' and ';').  When none parses, the failure
+    carries the diagnostics of the first candidate that failed: the later
+    regions can run over a fence's closing backticks.
     """
     candidates: list[str] = []
     fences = sorted(_FENCE_RE.findall(reply_text), key=len, reverse=True)
@@ -201,7 +203,7 @@ def extract_grammar_from_reply(reply_text: str) -> Grammar | ExtractionFailure:
         parsed = parse_grammar(candidate)
         if isinstance(parsed, Grammar) and parsed.rules:
             return parsed
-        if not isinstance(parsed, Grammar):
+        if not isinstance(parsed, Grammar) and not diagnostics:
             diagnostics = tuple(parsed)
     return ExtractionFailure("no candidate region parsed as a grammar", diagnostics)
 

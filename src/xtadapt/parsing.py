@@ -123,36 +123,49 @@ def _ranges(chars: Iterable[str]) -> str:
 
 _DIGIT_NUMERALS, _OTHER_NUMERALS = _numerals()
 
-#: One token per match, after any whitespace and comments.  Identifiers
-#: start on ``isalpha() or _`` and go on over ``isalnum() or _``; digit-led
-#: tokens start on ``isdigit()`` and go on over ``isalnum()``, ``.`` and
-#: ``_``; ASCII takes the short branches.  A backslash in a string escapes
-#: any character.  The two error groups run to the end of the text, and
-#: ``\Z`` matches once at the end without a group.
+#: One token per match, in the one group, after any whitespace and comments.
+#: Identifiers start on ``isalpha() or _`` and go on over ``isalnum() or _``;
+#: digit-led tokens start on ``isdigit()`` and go on over ``isalnum()``,
+#: ``.`` and ``_``; ASCII takes the short branches.  A backslash in a string
+#: escapes any character.  An unterminated string or comment runs to the end
+#: of the text, so only the last token can be one; ``\Z`` matches at the end
+#: with the group empty.
 _TOKEN = re.compile(
     rf"""(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*
-    (?:(?P<ident>[A-Za-z_]\w*|[0-9][\w.]*|(?=[^\x00-\x7f])
-        (?:[^\W\d{_DIGIT_NUMERALS}{_OTHER_NUMERALS}]\w*|[\d{_DIGIT_NUMERALS}][\w.]*))
-    |(?P<string>'(?:[^'\\\n]|\\(?s:.))*'|"(?:[^"\\\n]|\\(?s:.))*")
-    |(?P<open_string>'(?:[^'\\\n]|\\(?s:.))*\\?|"(?:[^"\\\n]|\\(?s:.))*\\?)(?s:.*)
-    |(?P<open_comment>/\*(?s:.*))
-    |(?P<punct>=>|\+=|\?=|(?s:.))
+    ([A-Za-z_]\w*|[0-9][\w.]*|(?=[^\x00-\x7f])
+        (?:[^\W\d{_DIGIT_NUMERALS}{_OTHER_NUMERALS}]\w*|[\d{_DIGIT_NUMERALS}][\w.]*)
+    |'(?:[^'\\\n]|\\(?s:.))*'|"(?:[^"\\\n]|\\(?s:.))*"
+    |['"](?s:.*)|/\*(?s:.*)
+    |=>|\+=|\?=|(?s:.)
     |\Z)""",
     re.VERBOSE,
 )
-_KINDS = (None, _IDENT, _STRING, _OPEN_STRING, _OPEN_COMMENT, _PUNCT)
+
+#: A string token's start: the string up to its line break, or to the end
+#: with a trailing backslash; group 1 or 2 is its closing quote if it has one.
+_STRING_HEAD = re.compile(
+    r"""'(?:[^'\\\n]|\\(?s:.))*(?:(')|\\?)|"(?:[^"\\\n]|\\(?s:.))*(?:(")|\\?)"""
+)
+
+#: Token kind by first character, for ASCII; any other character starts an
+#: identifier if ``isalpha()`` or ``isdigit()``, as ``_TOKEN`` reads it.
+_ASCII_KINDS = {
+    c: _STRING if c in "'\"" else _IDENT if c.isalnum() or c == "_" else _PUNCT
+    for c in map(chr, range(128))
+}
 
 
 class _Source:
-    """Lines and columns of offsets in a lexed text, from a table of its
-    line starts built when first asked."""
+    """Lines and columns of offsets in a lexed text, and the offsets of its
+    tokens, from tables built when first asked."""
 
-    __slots__ = ("text", "first_line", "_line_starts")
+    __slots__ = ("text", "first_line", "_line_starts", "_offsets")
 
     def __init__(self, text: str, first_line: int):
         self.text = text
         self.first_line = first_line
         self._line_starts: list[int] | None = None
+        self._offsets: list[int] | None = None
 
     def span(self, start: int, end: int) -> SourceSpan:
         """The span from offset ``start`` to offset ``end``, both included."""
@@ -166,36 +179,40 @@ class _Source:
             self.first_line + i, start - starts[i] + 1, self.first_line + j, end - starts[j] + 1
         )
 
-
-class _Token:
-    """A token's text, kind and start offset; ``span`` is worked out from
-    the offset when read."""
-
-    __slots__ = ("text", "kind", "start", "source")
-
-    def __init__(self, text: str, kind: str, start: int, source: _Source | None):
-        self.text = text
-        self.kind = kind  # one of _IDENT, _STRING, _PUNCT, _END: compare with `is`
-        self.start = start
-        self.source = source
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.source.span(self.start, self.start + len(self.text) - 1)
+    def token_span(self, i: int, token: str) -> SourceSpan:
+        """The span of ``token``, the ``i``-th token of the text."""
+        if self._offsets is None:
+            self._offsets = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        start = self._offsets[i]
+        return self.span(start, start + len(token) - 1)
 
 
-def _lex(text: str, first_line: int = 1) -> list[_Token]:
-    """Tokenize grammar text; comments are dropped, strings stay quoted."""
-    source = _Source(text, first_line)
-    tokens = [
-        _Token(m[i], _KINDS[i], m.start(i), source)
-        for m in _TOKEN.finditer(text)
-        if (i := m.lastindex)
+def _lex(text: str, first_line: int = 1) -> list[str]:
+    """Tokenize grammar text; comments are dropped, strings stay quoted.
+    Raises TokenizeError on an unterminated string literal or comment."""
+    texts = _TOKEN.findall(text)
+    while texts and not texts[-1]:
+        texts.pop()  # `\Z`
+    if texts and texts[-1][0] in "'\"/":
+        last = texts[-1]
+        if last.startswith("/*"):
+            message, length = _OPEN_COMMENT, len(last)
+        else:
+            head = _STRING_HEAD.match(last)
+            if head is None or head.lastindex:
+                return texts
+            message, length = _OPEN_STRING, head.end()
+        start = len(text) - len(last)
+        raise TokenizeError(message, _Source(text, first_line).span(start, start + length))
+    return texts
+
+
+def _kinds(texts: list[str]) -> list[str]:
+    """The kind of each token, from its first character."""
+    kind_of = _ASCII_KINDS.get
+    return [
+        kind_of(t[0]) or (_IDENT if t[0].isalpha() or t[0].isdigit() else _PUNCT) for t in texts
     ]
-    if tokens and tokens[-1].kind in (_OPEN_STRING, _OPEN_COMMENT):
-        bad = tokens[-1]
-        raise TokenizeError(bad.kind, source.span(bad.start, bad.start + len(bad.text)))
-    return tokens
 
 
 def tokenize(source_text: str) -> list[str]:
@@ -206,7 +223,7 @@ def tokenize(source_text: str) -> list[str]:
     two-character tokens; all other punctuation is one token per character.
     Raises TokenizeError on an unterminated string literal or comment.
     """
-    return [t.text for t in _lex(source_text)]
+    return _lex(source_text)
 
 
 def token_distance(a: list[str], b: list[str]) -> int:
@@ -262,85 +279,114 @@ class _ParseAbort(Exception):
     """Internal: unwind to the rule level after an unrecoverable diagnostic."""
 
 
-#: Ends every token list the parser reads, three deep so that lookahead of
-#: up to two tokens never runs off the list.
-_SENTINELS = [_Token("", _END, 0, None)] * 3
-
-#: Texts that end a branch; the sentinel's is ``""``.
+#: Texts that end a branch; ``""`` is the text of the three `_END` tokens
+#: that end every token list the parser reads, so that lookahead of up to
+#: two tokens never runs off the list.
 _BRANCH_END = frozenset(("|", ";", ")", ""))
+
+_CARDINALITIES = {"": Cardinality.ONE, **_CARD_SUFFIXES}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens + _SENTINELS
+    """Recursive descent over parallel lists of token texts and kinds.
+
+    Equal keywords and rule calls are built once per parser, in ``leaves``
+    keyed by the quoted keyword token or the called name, the suffix and the
+    predicate: nodes are immutable, so sharing them changes no value."""
+
+    def __init__(self, text: str, first_line: int, diagnostics: list[ParseDiagnostic]):
+        """Lex ``text``, whose first line is ``first_line``; raises
+        TokenizeError."""
+        texts = _lex(text, first_line)
+        self.texts = texts + [""] * 3
+        self.kinds = _kinds(texts) + [_END] * 3
         self.pos = 0
+        self.source = _Source(text, first_line)
         self.diagnostics = diagnostics
+        self.leaves: dict[tuple[str, str, bool], Expression] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
     def at_end(self) -> bool:
-        return self.tokens[self.pos].kind is _END
+        return self.kinds[self.pos] is _END
 
-    def error(self, message: str, span: SourceSpan | None = None) -> None:
-        if span is None:
-            tok: _Token | None = self.tokens[self.pos]
-            if tok.kind is _END:  # the last token, if any
-                tok = self.tokens[self.pos - 1] if self.pos else None
-            span = tok.span if tok is not None else SourceSpan(1, 1, 1, 1)
+    def error(self, message: str, at: int | None = None) -> None:
+        """Report at token ``at``, by default the current token or, at the
+        end, the last one."""
+        if at is None:
+            at = self.pos
+            if self.kinds[at] is _END:
+                at -= 1
+        span = self.source.token_span(at, self.texts[at]) if at >= 0 else SourceSpan(1, 1, 1, 1)
         self.diagnostics.append(ParseDiagnostic(span, message))
 
-    def abort(self, message: str, span: SourceSpan | None = None) -> None:
-        self.error(message, span)
+    def abort(self, message: str, at: int | None = None) -> None:
+        self.error(message, at)
         raise _ParseAbort()
 
     def skip_past_semicolon(self) -> None:
         while not self.at_end():
-            if self.next().text == ";":
+            if self.next() == ";":
                 return
 
+    def suffix(self) -> str:
+        """Read an optional ``?``, ``*`` or ``+`` suffix; ``""`` if none."""
+        if self.texts[self.pos] in _CARD_SUFFIXES:
+            return self.next()
+        return ""
+
     def cardinality(self) -> Cardinality:
-        """Read an optional ``?``, ``*`` or ``+`` suffix."""
-        card = _CARD_SUFFIXES.get(self.tokens[self.pos].text)
-        if card is None:
-            return Cardinality.ONE
-        self.pos += 1
-        return card
+        return _CARDINALITIES[self.suffix()]
+
+    def leaf(self, token: str, suffix: str = "", predicated: bool = False) -> Expression:
+        """The keyword of a quoted ``token``, else the call of rule ``token``,
+        built on its first use in this parse."""
+        key = (token, suffix, predicated)
+        node = self.leaves.get(key)
+        if node is None:
+            card = _CARDINALITIES[suffix]
+            if token[0] in "'\"":
+                node = Keyword(
+                    text=token[1:-1], quote=token[0], cardinality=card, predicated=predicated
+                )
+            else:
+                node = RuleCall(rule_name=token, cardinality=card, predicated=predicated)
+            self.leaves[key] = node
+        return node
 
     # -- top level ----------------------------------------------------------
 
     def parse_grammar_items(self) -> tuple[list[ParserRule], list[TerminalDecl]]:
         rules: list[ParserRule] = []
         terminals: list[TerminalDecl] = []
+        texts, kinds = self.texts, self.kinds
         while not self.at_end():
-            tok = self.peek()
+            pos = self.pos
             try:
-                if tok.kind is _IDENT and tok.text == "terminal":
+                if kinds[pos] is _IDENT and texts[pos] == "terminal":
                     terminals.append(self.parse_terminal_decl())
-                elif tok.kind is _IDENT:
+                elif kinds[pos] is _IDENT:
                     rules.append(self.parse_rule())
                 else:
-                    self.abort(f"unknown top-level construct starting at {tok.text!r}", tok.span)
+                    self.abort(f"unknown top-level construct starting at {texts[pos]!r}", pos)
             except _ParseAbort:
                 self.skip_past_semicolon()
         return rules, terminals
 
     def parse_terminal_decl(self) -> TerminalDecl:
+        texts = self.texts
         self.next()  # 'terminal'
-        if self.peek().kind is not _IDENT:
+        if self.kinds[self.pos] is not _IDENT:
             self.abort("expected terminal name")
-        name = self.next().text
+        name = self.next()
         body_parts: list[str] = []
-        if self.peek().text == ":":
+        if texts[self.pos] == ":":
             self.next()
-            while not self.at_end() and self.peek().text != ";":
-                body_parts.append(self.next().text)
-        elif not self.at_end() and self.peek().text != ";":
+            while not self.at_end() and texts[self.pos] != ";":
+                body_parts.append(self.next())
+        elif not self.at_end() and texts[self.pos] != ";":
             self.abort(f"expected ':' or ';' after terminal {name}")
         if self.at_end():
             self.abort(f"missing ';' after terminal {name}")
@@ -348,54 +394,54 @@ class _Parser:
         return TerminalDecl(name=name, body_text=" ".join(body_parts))
 
     def parse_rule(self) -> ParserRule:
-        first = self.next()
-        name = first.text
+        texts, kinds = self.texts, self.kinds
+        first = self.pos
+        name = self.next()
         # An enum rule's body parses like an ordinary rule body; only the
         # marker is kept, so printing restores it.  ``enum N:`` and
         # ``enum N returns T:`` are enum rules; ``enum returns T:`` is a
         # parser rule named ``enum``.
-        tokens, pos = self.tokens, self.pos
+        pos = self.pos
         enum = (
             name == "enum"
-            and tokens[pos].kind is _IDENT
+            and kinds[pos] is _IDENT
             and (
-                tokens[pos + 1].text == ":"
-                or (tokens[pos + 1].text == "returns" and tokens[pos + 2].kind is _IDENT)
+                texts[pos + 1] == ":"
+                or (texts[pos + 1] == "returns" and kinds[pos + 2] is _IDENT)
             )
         )
         if enum:
-            first = self.next()
-            name = first.text
+            first = pos
+            name = self.next()
         returns_type: str | None = None
-        tok = self.peek()
-        if tok.kind is _IDENT and tok.text == "returns":
+        if kinds[self.pos] is _IDENT and texts[self.pos] == "returns":
             self.next()
             returns_type = self.parse_qualified_name("returns type")
-        if self.peek().text != ":":
-            self.abort(f"expected ':' after rule name {name!r}", first.span)
+        if texts[self.pos] != ":":
+            self.abort(f"expected ':' after rule name {name!r}", first)
         self.next()
         body = self.parse_alternatives(depth=1)
-        if self.peek().text != ";":
-            self.abort(f"missing ';' terminating rule {name!r}", first.span)
+        if texts[self.pos] != ";":
+            self.abort(f"missing ';' terminating rule {name!r}", first)
         self.next()
         return ParserRule(name=name, returns_type=returns_type, body=body, enum=enum)
 
     def parse_qualified_name(self, what: str) -> str:
-        tokens = self.tokens
-        if tokens[self.pos].kind is not _IDENT:
+        texts, kinds = self.texts, self.kinds
+        if kinds[self.pos] is not _IDENT:
             self.abort(f"expected {what}")
-        parts = [self.next().text]
+        name = self.next()
         while True:
             pos = self.pos
-            text = tokens[pos].text
-            if text == ":" and tokens[pos + 1].text == ":" and tokens[pos + 2].kind is _IDENT:
-                parts.append("::" + tokens[pos + 2].text)
+            text = texts[pos]
+            if text == ":" and texts[pos + 1] == ":" and kinds[pos + 2] is _IDENT:
+                name += "::" + texts[pos + 2]
                 self.pos += 3
-            elif text == "." and tokens[pos + 1].kind is _IDENT:
-                parts.append("." + tokens[pos + 1].text)
+            elif text == "." and kinds[pos + 1] is _IDENT:
+                name += "." + texts[pos + 1]
                 self.pos += 2
             else:
-                return "".join(parts)
+                return name
 
     # -- expressions --------------------------------------------------------
 
@@ -403,8 +449,8 @@ class _Parser:
         if depth > MAX_NESTING_DEPTH:
             self.abort(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
         branches = [self.parse_branch(depth)]
-        tokens = self.tokens
-        while tokens[self.pos].text == "|":
+        texts = self.texts
+        while texts[self.pos] == "|":
             self.pos += 1
             branches.append(self.parse_branch(depth))
         if len(branches) == 1:
@@ -413,8 +459,8 @@ class _Parser:
 
     def parse_branch(self, depth: int) -> Expression:
         elements: list[Expression] = []
-        tokens = self.tokens
-        while tokens[self.pos].text not in _BRANCH_END:
+        texts = self.texts
+        while texts[self.pos] not in _BRANCH_END:
             elements.append(self.parse_element(depth))
         if not elements:
             self.abort("empty group or alternative")
@@ -425,21 +471,17 @@ class _Parser:
     def parse_element(self, depth: int) -> Expression:
         """An optional ``=>``, a primary and its optional suffix, built as
         one node."""
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        predicated = tok.text == "=>"
+        texts = self.texts
+        start = self.pos
+        predicated = texts[start] == "=>"
         if predicated:
-            self.pos += 1
-            tok = tokens[self.pos]
-        kind, text = tok.kind, tok.text
+            start = self.pos = start + 1
+        kind, text = self.kinds[start], texts[start]
         if kind is _STRING:
             self.pos += 1
-            return Keyword(
-                text=text[1:-1], quote=text[0],
-                cardinality=self.cardinality(), predicated=predicated,
-            )
+            return self.leaf(text, self.suffix(), predicated)
         if kind is _IDENT:
-            operator = tokens[self.pos + 1].text
+            operator = texts[start + 1]
             if operator in ASSIGN_OPERATORS:
                 self.pos += 2
                 return Assignment(
@@ -447,15 +489,12 @@ class _Parser:
                     terminal=self.parse_assignment_terminal(text),
                     cardinality=self.cardinality(), predicated=predicated,
                 )
-            return RuleCall(
-                rule_name=self.parse_qualified_name("rule call"),
-                cardinality=self.cardinality(), predicated=predicated,
-            )
+            return self.leaf(self.parse_qualified_name("rule call"), self.suffix(), predicated)
         if text == "(":
             self.pos += 1
             inner = self.parse_alternatives(depth + 1)
-            if tokens[self.pos].text != ")":
-                self.abort("unbalanced '(': missing ')'", tok.span)
+            if texts[self.pos] != ")":
+                self.abort("unbalanced '(': missing ')'", start)
             self.pos += 1
             card = self.cardinality()
             if not (isinstance(inner, (Alternatives, Group)) and inner.plain):
@@ -469,15 +508,14 @@ class _Parser:
             return Alternatives(branches=inner.branches, cardinality=card, predicated=predicated)
         if text == "{":
             self.pos += 1
-            name_tok = tokens[self.pos]
-            if name_tok.kind is not _IDENT:
-                self.abort("expected type name inside '{...}' action", tok.span)
-            self.pos += 1
-            if tokens[self.pos].text != "}":
-                self.abort("unbalanced '{' in action annotation", tok.span)
+            if self.kinds[self.pos] is not _IDENT:
+                self.abort("expected type name inside '{...}' action", start)
+            type_name = self.next()
+            if texts[self.pos] != "}":
+                self.abort("unbalanced '{' in action annotation", start)
             self.pos += 1
             return ActionAnnotation(
-                type_name=name_tok.text, cardinality=self.cardinality(), predicated=predicated
+                type_name=type_name, cardinality=self.cardinality(), predicated=predicated
             )
         if text == "[":
             type_name, terminal_name = self.parse_cross_reference()
@@ -487,38 +525,41 @@ class _Parser:
             )
         if kind is _END:
             self.abort("unexpected end of input in rule body")
-        self.abort(f"unexpected token {text!r} in rule body", tok.span)
+        self.abort(f"unexpected token {text!r} in rule body", start)
         raise AssertionError("unreachable")
 
     def parse_cross_reference(self) -> tuple[str, str | None]:
         """``[Type|Terminal]``: its type name (maybe empty) and terminal name."""
-        open_tok = self.next()  # '['
+        texts, kinds = self.texts, self.kinds
+        open_at = self.pos
+        self.next()  # '['
         type_name = ""
-        if self.peek().kind is _IDENT:
+        if kinds[self.pos] is _IDENT:
             type_name = self.parse_qualified_name("cross-reference type")
         terminal_name: str | None = None
-        if self.peek().text == "|":
+        if texts[self.pos] == "|":
             self.next()
-            if self.peek().kind is not _IDENT:
-                self.abort("expected terminal name after '|' in cross-reference", open_tok.span)
-            terminal_name = self.next().text
-        if self.peek().text != "]":
-            self.abort("unbalanced '[': missing ']'", open_tok.span)
+            if kinds[self.pos] is not _IDENT:
+                self.abort("expected terminal name after '|' in cross-reference", open_at)
+            terminal_name = self.next()
+        if texts[self.pos] != "]":
+            self.abort("unbalanced '[': missing ']'", open_at)
         self.next()
         return type_name, terminal_name
 
     def parse_assignment_terminal(self, feature: str) -> Expression:
-        tok = self.peek()
-        if tok.kind is _STRING:
-            self.next()
-            return Keyword(text=tok.text[1:-1], quote=tok.text[0])
-        if tok.text == "[":
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind is _STRING:
+            self.pos += 1
+            return self.leaf(text)
+        if text == "[":
             return CrossReference(*self.parse_cross_reference())
-        if tok.kind is _IDENT:
-            return RuleCall(rule_name=self.parse_qualified_name("called rule"))
-        if tok.kind is _END:
+        if kind is _IDENT:
+            return self.leaf(self.parse_qualified_name("called rule"))
+        if kind is _END:
             self.abort(f"malformed assignment to {feature!r}: missing terminal")
-        self.abort(f"malformed assignment to {feature!r}: bad terminal {tok.text!r}", tok.span)
+        self.abort(f"malformed assignment to {feature!r}: bad terminal {text!r}", pos)
         raise AssertionError("unreachable")
 
 
@@ -566,10 +607,9 @@ def parse_grammar(source_text: str) -> Grammar | list[ParseDiagnostic]:
     header, remainder, first_line = _split_header(_unix_newlines(source_text))
     diagnostics: list[ParseDiagnostic] = []
     try:
-        tokens = _lex(remainder, first_line=first_line)
+        parser = _Parser(remainder, first_line, diagnostics)
     except TokenizeError as err:
         return [ParseDiagnostic(err.span, str(err))]
-    parser = _Parser(tokens, diagnostics)
     rules, terminals = parser.parse_grammar_items()
     if diagnostics:
         return diagnostics
@@ -585,17 +625,15 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
     """Parse a bare rule body (no name, no trailing ';')."""
     diagnostics: list[ParseDiagnostic] = []
     try:
-        tokens = _lex(_unix_newlines(body_text))
+        parser = _Parser(_unix_newlines(body_text), 1, diagnostics)
     except TokenizeError as err:
         return [ParseDiagnostic(err.span, str(err))]
-    parser = _Parser(tokens, diagnostics)
     try:
         body = parser.parse_alternatives(depth=1)
     except _ParseAbort:
         return diagnostics
     if not parser.at_end():
-        tok = parser.peek()
-        diagnostics.append(ParseDiagnostic(tok.span, f"trailing input {tok.text!r} after body"))
+        parser.error(f"trailing input {parser.texts[parser.pos]!r} after body")
     return diagnostics or body
 
 
@@ -653,12 +691,12 @@ def _name(name: str, out: list[str], qualified: bool = False) -> None:
         tokens = _lex(name)
     except TokenizeError:
         tokens = []
-    shape = "".join("i" if t.kind is _IDENT else t.text for t in tokens)
-    if "".join(t.text for t in tokens) != name or not (
+    shape = "".join("i" if k is _IDENT else t for t, k in zip(tokens, _kinds(tokens)))
+    if "".join(tokens) != name or not (
         _QUALIFIED_SHAPE.fullmatch(shape) if qualified else shape == "i"
     ):
         raise UnprintableError(f"{name!r} is not a name the parser reads")
-    out.extend(t.text for t in tokens)
+    out.extend(tokens)
 
 
 def printable_name(name: str) -> bool:

@@ -1,9 +1,14 @@
+import importlib
+
 import pytest
 
 from corpus import build_trio, load_grammar, load_pair
 from xtadapt.evaluate import (
     AdaptationType,
     RuleStatus,
+    _pair_types,
+    _required_rules,
+    _Signatures,
     classify_adaptations,
     compare_rules,
     compute_rac,
@@ -13,6 +18,9 @@ from xtadapt.evaluate import (
     report_table,
 )
 from xtadapt.parsing import parse_grammar
+
+#: The module, which the package's `evaluate` function shadows.
+evaluate_module = importlib.import_module("xtadapt.evaluate")
 
 
 # -- compare_rules ----------------------------------------------------------
@@ -197,6 +205,64 @@ def test_classify_perfect_candidate_never_incorrect():
         for adaptation_type, counts in per_type.items():
             assert counts.incorrect == 0, (name, adaptation_type)
             assert counts.correct == counts.occurrences, (name, adaptation_type)
+
+
+def _searched_counts(g2, target, candidate):
+    """Per-type (occurrences, incorrect) by the definition: every required
+    rule the candidate has is searched against the target afresh."""
+    g2_sigs, target_sigs, cand_sigs = (_Signatures(g) for g in (g2, target, candidate))
+    counts = {}
+    for name in _required_rules(g2_sigs, target_sigs):
+        tgt, tgt_sig = target_sigs.rule_by_name.get(name), target_sigs.by_name.get(name)
+        needed = _pair_types(
+            g2_sigs.rule_by_name.get(name), tgt, g2_sigs.by_name.get(name), tgt_sig
+        )
+        cand_rule = cand_sigs.rule_by_name.get(name)
+        if tgt is None:
+            residual = needed if cand_rule is not None else set()
+        elif cand_rule is None:
+            residual = needed
+        else:
+            residual = _pair_types(cand_rule, tgt, cand_sigs.by_name[name], tgt_sig)
+        for adaptation_type in needed:
+            occurrences, incorrect = counts.get(adaptation_type, (0, 0))
+            counts[adaptation_type] = (occurrences + 1, incorrect + (adaptation_type in residual))
+    return counts
+
+
+def test_classify_agrees_with_a_search_of_every_candidate_rule():
+    from corpus import corpus_pairs
+
+    trios = [build_trio(12, 7, 4), build_trio(8, 4, 1), build_trio(5, 0, 0)]
+    trios += [(g2, g2, target) for _, g2, target, _ in corpus_pairs()]
+    trios += [(g2, target, target) for _, g2, target, _ in corpus_pairs()]
+    trios += [(g2, target, g2) for _, g2, target, _ in corpus_pairs()]
+    for g2, candidate, target in trios:
+        per_type = classify_adaptations(g2, target, candidate)
+        assert all(c.occurrences == c.correct + c.incorrect for c in per_type.values())
+        assert {t: (c.occurrences, c.incorrect) for t, c in per_type.items()} == _searched_counts(
+            g2, target, candidate
+        )
+
+
+def test_unadapted_rules_reuse_the_search_of_their_needed_types(monkeypatch):
+    """One search per required rule finds its needed types; the three rules
+    the candidate left as G2 has them are not searched again, and the one it
+    realized equals the target."""
+    searched = []
+    search = evaluate_module._infer
+
+    def counted(src, dst, *args):
+        searched.append(src.name)
+        return search(src, dst, *args)
+
+    monkeypatch.setattr(evaluate_module, "_infer", counted)
+    g2, candidate, target = build_trio(8, 4, 1)
+    per_type = classify_adaptations(g2, target, candidate)
+    assert searched == ["R00", "R01", "R02", "R03"]
+    assert {t: (c.occurrences, c.correct, c.incorrect) for t, c in per_type.items()} == {
+        AdaptationType.KEYWORD_REMOVAL: (4, 1, 3)
+    }
 
 
 def test_evaluate_agrees_with_the_public_parts():

@@ -1,8 +1,11 @@
 """The regex lexer against the character loop it replaced.
 
-``_ref_lex`` is the loop, kept as a reference only.  It reads a string's
-escaped newline without counting the line, so inputs with a backslash-newline
-inside a string are left out of the property and pinned on their own.
+``_ref_lex`` is the loop, kept as a reference only.  The lexer gives token
+texts; each token's kind and span are worked out apart from it, the span
+only when a diagnostic needs one, and the property checks all three.  The
+reference reads a string's escaped newline without counting the line, so
+inputs with a backslash-newline inside a string are left out of the property
+and pinned on their own.
 """
 
 import re
@@ -12,7 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import FIXTURES, corpus_grammars
-from xtadapt.parsing import _TOKEN, SourceSpan, TokenizeError, _lex, print_grammar
+from xtadapt.parsing import (
+    _STRING_HEAD,
+    _TOKEN,
+    SourceSpan,
+    TokenizeError,
+    _kinds,
+    _lex,
+    _Source,
+    print_grammar,
+)
 
 _PUNCT2 = ("=>", "+=", "?=")
 
@@ -112,9 +124,11 @@ def _ref_lex(text: str, first_line: int = 1) -> list[tuple[str, str, SourceSpan]
 
 def _lexed(text: str, first_line: int = 1):
     try:
-        return [(t.text, t.kind, t.span) for t in _lex(text, first_line)]
+        texts = _lex(text, first_line)
     except TokenizeError as err:
         return (str(err), err.span)
+    source = _Source(text, first_line)
+    return [(t, k, source.token_span(i, t)) for i, (t, k) in enumerate(zip(texts, _kinds(texts)))]
 
 
 def _ref_lexed(text: str, first_line: int = 1):
@@ -125,8 +139,10 @@ def _ref_lexed(text: str, first_line: int = 1):
 
 
 def _escaped_newline_in_string(text: str) -> bool:
+    # An unterminated string's token runs to the end of the text; its head
+    # is the string proper.
     return any(
-        "\\\n" in (m["string"] or m["open_string"] or "") for m in _TOKEN.finditer(text)
+        "\\\n" in _STRING_HEAD.match(t)[0] for t in _TOKEN.findall(text) if t[:1] in ("'", '"')
     )
 
 
@@ -170,13 +186,13 @@ def test_identifier_and_digit_rules_follow_str_methods_over_all_of_unicode():
     assert word_chars == [c for c in everything if c.isalnum() or c == "_"]
     assert ord(word_chars[-1]) < 0x40000  # the planes the lexer's numeral scan covers
     tokens = _lex(" ".join(word_chars))
-    assert [t.text for t in tokens] == word_chars
-    assert [t.kind for t in tokens] == [
+    assert tokens == word_chars
+    assert _kinds(tokens) == [
         "ident" if c.isalpha() or c == "_" or c.isdigit() else "punct" for c in word_chars
     ]
     # A digit-led token goes on over '.', an identifier does not.
     starts = [c for c in word_chars if c.isalpha() or c == "_" or c.isdigit()]
     tokens = _lex(" ".join(c + "." + c for c in starts))
-    assert [t.text for t in tokens] == [
+    assert tokens == [
         part for c in starts for part in ((c + "." + c,) if c.isdigit() else (c, ".", c))
     ]

@@ -198,6 +198,17 @@ def test_extract_reports_parse_diagnostics():
     assert extracted.issues()
 
 
+def test_extract_reports_the_fence_not_its_closing_backticks():
+    """A fenced grammar that lacks a ';' fails in the fence and again from its
+    ``grammar`` line to the end of the reply; only the fence's diagnostics
+    are reported, not the closing fence the second region runs into."""
+    grammar = "grammar org.example.M\n\nA: 'a'\n\nB: 'b';"
+    reply = f"Here is the adapted grammar.\n\n```xtext\n{grammar}\n```\n"
+    extracted = extract_grammar_from_reply(reply)
+    assert isinstance(extracted, ExtractionFailure)
+    assert extracted.issues() == ["parse error at 5:2: unexpected token ':' in rule body"]
+
+
 # -- http backend -------------------------------------------------------------
 
 

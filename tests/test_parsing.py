@@ -18,7 +18,9 @@ from xtadapt.model import (
     ParserRule,
     RuleCall,
     assignments_of,
+    children_of,
     walk,
+    with_children,
 )
 from xtadapt.parsing import (
     ParseDiagnostic,
@@ -204,6 +206,52 @@ def test_round_trip_fixpoint(name, grammar):
     assert isinstance(reparsed, Grammar), f"{name}: reprint did not parse"
     assert reparsed == grammar
     assert print_grammar(reparsed) == printed
+
+
+# -- leaves shared within a parse ----------------------------------------------
+
+
+def _nodes(grammar: Grammar) -> list:
+    return [node for rule in grammar.rules for _, node in walk(rule.body)]
+
+
+def _unshared(expr):
+    """``expr`` rebuilt node by node, every node a new object."""
+    return with_children(replace(expr), tuple(_unshared(c) for c in children_of(expr)))
+
+
+def test_equal_leaves_are_one_object_within_a_parse():
+    body = parse_rule_body("'k' x=ID 'k' y=ID ('k' | \"k\")? 'k'? ID =>ID ID? z='k'")
+    leaves = [node for _, node in walk(body) if isinstance(node, (Keyword, RuleCall))]
+    assert len(leaves) == 11
+    by_value: dict = {}
+    for leaf in leaves:
+        by_value.setdefault(leaf, set()).add(id(leaf))
+    # 'k', "k", 'k'?, ID, =>ID and ID?: one object each.
+    assert len(by_value) == 6
+    assert all(len(ids) == 1 for ids in by_value.values())
+    grammar = load_grammar("mission_generated.xtext")
+    leaves = [node for node in _nodes(grammar) if isinstance(node, (Keyword, RuleCall))]
+    assert len({id(leaf) for leaf in leaves}) == len(set(leaves)) < len(leaves)
+
+
+def test_two_parses_of_one_text_share_no_node():
+    text = read_fixture("mission_generated.xtext")
+    first, second = parse_grammar(text), parse_grammar(text)
+    assert first == second
+    assert not {id(node) for node in _nodes(first)} & {id(node) for node in _nodes(second)}
+
+
+@pytest.mark.parametrize("name,grammar", corpus_grammars())
+def test_a_parse_is_the_value_of_its_copy_without_sharing(name, grammar):
+    copy = replace(
+        grammar, rules=tuple(replace(rule, body=_unshared(rule.body)) for rule in grammar.rules)
+    )
+    assert len({id(node) for node in _nodes(copy)}) == len(_nodes(copy))
+    assert copy == grammar
+    assert hash(copy) == hash(grammar)
+    assert print_grammar(copy) == print_grammar(grammar)
+    assert [rule_signature(r) for r in copy.rules] == [rule_signature(r) for r in grammar.rules]
 
 
 def test_print_deterministic():
