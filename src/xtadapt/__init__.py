@@ -16,13 +16,9 @@ from .evaluate import (
     EvaluationReport,
     RuleComparison,
     RuleStatus,
-    classify_adaptations,
-    compare_rules,
-    compute_rac,
-    compute_similarity,
     evaluate,
 )
-from .extract import ExtractionResult, RulePairing, extract_config, pair_rules
+from .extract import ExtractionResult, extract_config
 from .llm import (
     AdaptationSession,
     HttpBackend,
@@ -52,7 +48,6 @@ from .parsing import (
     SourceSpan,
     parse_grammar,
     print_grammar,
-    tokenize,
 )
 from .transform import (
     ApplyReport,
@@ -96,7 +91,6 @@ __all__ = [
     "ParserRule",
     "RuleCall",
     "RuleComparison",
-    "RulePairing",
     "RuleStatus",
     "Scope",
     "ScopeKind",
@@ -109,10 +103,6 @@ __all__ = [
     "assignments_of",
     "attribute_scope",
     "check_conformance",
-    "classify_adaptations",
-    "compare_rules",
-    "compute_rac",
-    "compute_similarity",
     "config_from_json",
     "config_to_json",
     "evaluate",
@@ -120,10 +110,8 @@ __all__ = [
     "extract_grammar_from_reply",
     "find_rule",
     "grammar_scope",
-    "pair_rules",
     "parse_grammar",
     "print_grammar",
     "rule_scope",
     "run_adaptation",
-    "tokenize",
 ]

@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 from .conformance import ConformanceFinding
-from .extract import _infer
+from .extract import infer_rule_ops
 from .model import (
     Assignment,
     CrossReference,
@@ -131,16 +131,9 @@ class _Signatures:
         self.rule_by_name = {r.name: r for r in self.rules}
 
 
-def compare_rules(candidate: Grammar, target: Grammar) -> list[RuleComparison]:
-    """Rule-by-rule token comparison, paired by rule name.
-
-    Target rules lead in target order; candidate-only rules trail as
-    EXTRA_IN_CANDIDATE.
-    """
-    return _compare_rules(_Signatures(candidate), _Signatures(target))
-
-
 def _compare_rules(cand: _Signatures, target: _Signatures) -> list[RuleComparison]:
+    """Rule-by-rule token comparison, paired by rule name: target rules lead
+    in target order; candidate-only rules trail as EXTRA_IN_CANDIDATE."""
     comparisons: list[RuleComparison] = []
     for rule, target_sig in zip(target.rules, target.ordered):
         cand_sig = cand.by_name.get(rule.name)
@@ -166,46 +159,6 @@ def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
     names = list(g2.by_name)
     names.extend(n for n in target.by_name if n not in g2.by_name)
     return [n for n in names if g2.by_name.get(n) != target.by_name.get(n)]
-
-
-def compute_rac(
-    g2: Grammar, candidate: Grammar, target: Grammar
-) -> tuple[int, int, float]:
-    """(n_total, n_correct, rac): consistency over rules requiring adaptation.
-
-    A required rule counts as correct only when the candidate's version is
-    token-equal to the target's; zero required rules is a vacuous success.
-    """
-    target_sigs = _Signatures(target)
-    required = _required_rules(_Signatures(g2), target_sigs)
-    return _rac(required, _Signatures(candidate), target_sigs)
-
-
-def _rac(
-    required: list[str], cand: _Signatures, target: _Signatures
-) -> tuple[int, int, float]:
-    n_total = len(required)
-    n_correct = sum(1 for n in required if cand.by_name.get(n) == target.by_name.get(n))
-    rac = 1.0 if n_total == 0 else n_correct / n_total
-    return n_total, n_correct, rac
-
-
-def compute_similarity(candidate: Grammar, target: Grammar) -> tuple[int, int, float]:
-    """(same, diff, percent) counted over the target's rules; a rule missing
-    from the candidate counts as diff, extra candidate rules count nowhere."""
-    return _similarity(compare_rules(candidate, target))
-
-
-def _similarity(comparisons: list[RuleComparison]) -> tuple[int, int, float]:
-    same = 0
-    diff = 0
-    for comparison in comparisons:
-        if comparison.status is RuleStatus.SAME:
-            same += 1
-        elif comparison.status in (RuleStatus.DIFF, RuleStatus.MISSING_IN_CANDIDATE):
-            diff += 1
-    percent = 1.0 if same + diff == 0 else same / (same + diff)
-    return same, diff, percent
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +236,21 @@ def _pair_types(
         return _signature_scan(present, empty_shell)
     if src_sig == dst_sig:
         return set()
-    ops, fell_back = _infer(src, dst, src_sig, dst_sig)
+    ops, fell_back = infer_rule_ops(src, dst, src_sig, dst_sig)
     if fell_back:
         return _signature_scan(src, dst)
-    return {_TYPE_OF_OP[op.kind] for op in ops if op.kind is not OpKind.REPLACE_RULE}
-
-
-def classify_adaptations(
-    g2: Grammar, target: Grammar, candidate: Grammar
-) -> dict[AdaptationType, TypeCounts]:
-    """Per-type occurrence and correctness counts over rules requiring
-    adaptation.
-
-    A type is realized for a rule when the residual diff between candidate
-    and target no longer needs it; a rule increments each required type's
-    occurrence count exactly once.
-    """
-    g2_sigs, target_sigs = _Signatures(g2), _Signatures(target)
-    required = _required_rules(g2_sigs, target_sigs)
-    return _classify(required, g2_sigs, target_sigs, _Signatures(candidate))
+    return {_TYPE_OF_OP[op.kind] for op in ops}  # no REPLACE_RULE without a fallback
 
 
 def _classify(
     required: list[str], g2: _Signatures, target: _Signatures, cand: _Signatures
 ) -> dict[AdaptationType, TypeCounts]:
+    """Per-type occurrence and correctness counts over the required rules.
+
+    A type is realized for a rule when the residual diff between candidate
+    and target no longer needs it; a rule increments each required type's
+    occurrence count exactly once.
+    """
     counts: dict[AdaptationType, TypeCounts] = {t: TypeCounts() for t in AdaptationType}
     for name in required:
         tgt, tgt_sig = target.rule_by_name.get(name), target.by_name.get(name)
@@ -340,21 +284,27 @@ def evaluate(
 ) -> EvaluationReport:
     """Full report: RAC, similarity, per-type counts and rule comparisons.
 
-    Each grammar's rule signatures are computed once and shared by every
-    part of the report.
+    RAC is the consistency over the rules requiring adaptation: a required
+    rule counts as correct only when the candidate's version is token-equal
+    to the target's, and zero required rules is a vacuous success.  Same,
+    Diff and Percent count over the target's rules: a rule missing from the
+    candidate counts as diff, extra candidate rules count nowhere.  Each
+    grammar's rule signatures are computed once and shared by every part of
+    the report.
     """
     g2_sigs, cand_sigs, target_sigs = (_Signatures(g) for g in (g2, candidate, target))
     required = _required_rules(g2_sigs, target_sigs)
-    n_total, n_correct, rac = _rac(required, cand_sigs, target_sigs)
+    n_correct = sum(1 for n in required if cand_sigs.by_name.get(n) == target_sigs.by_name.get(n))
     comparisons = _compare_rules(cand_sigs, target_sigs)
-    same, diff, percent = _similarity(comparisons)
+    same = sum(1 for c in comparisons if c.status is RuleStatus.SAME)
+    diff = len(target.rules) - same  # each target rule is SAME, DIFF or MISSING
     return EvaluationReport(
-        n_total=n_total,
+        n_total=len(required),
         n_correct=n_correct,
-        rac=rac,
+        rac=1.0 if not required else n_correct / len(required),
         same=same,
         diff=diff,
-        percent=percent,
+        percent=1.0 if same + diff == 0 else same / (same + diff),
         per_type=_classify(required, g2_sigs, target_sigs, cand_sigs),
         comparisons=comparisons,
         conformance=conformance or [],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .model import (
     Assignment,
     Cardinality,
-    Expression,
     Grammar,
     Group,
     Keyword,
@@ -44,28 +43,10 @@ class ExtractionError(Exception):
     """Internal consistency failure: the extracted config did not replay."""
 
 
-@dataclass(frozen=True)
-class RulePairing:
-    pairs: tuple[str, ...]
-    unmatched_left: tuple[str, ...]
-    unmatched_right: tuple[str, ...]
-
-
 @dataclass
 class ExtractionResult:
     config: TransformationConfig
     fallback_count: int
-
-
-def pair_rules(g1: Grammar, g1prime: Grammar) -> RulePairing:
-    """Pair rules of two grammar versions by exact name."""
-    left = {r.name for r in g1.rules}
-    right = {r.name for r in g1prime.rules}
-    return RulePairing(
-        pairs=tuple(n for n in (r.name for r in g1.rules) if n in right),
-        unmatched_left=tuple(n for n in (r.name for r in g1.rules) if n not in right),
-        unmatched_right=tuple(n for n in (r.name for r in g1prime.rules) if n not in left),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +56,6 @@ def pair_rules(g1: Grammar, g1prime: Grammar) -> RulePairing:
 
 @dataclass
 class _FeatureContext:
-    feature: str
-    anchor_node: Expression
     keyword_before: str | None
     has_braces: bool
     cardinality: Cardinality
@@ -138,8 +117,6 @@ def _feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> _Featu
     if index.braces is not None and first:
         before_braces = first[0] < index.braces[0]
     return _FeatureContext(
-        feature=feature,
-        anchor_node=anchor_node,
         keyword_before=keyword_before,
         has_braces=has_braces,
         cardinality=anchor_node.cardinality,
@@ -248,28 +225,22 @@ def _candidates(
 # ---------------------------------------------------------------------------
 
 
+#: Kinds whose op matches nothing unless the rule holds the keyword that
+#: this param names (never a brace, for a candidate).
+_KEYWORD_PARAM = {OpKind.REMOVE_KEYWORD: "text", OpKind.RENAME_KEYWORD: "from"}
+
+
 def infer_rule_ops(
-    src: ParserRule, dst: ParserRule
+    src: ParserRule, dst: ParserRule, src_sig: list[str], target_sig: list[str]
 ) -> tuple[list[TransformOp], bool]:
-    """Catalog ops turning ``src`` into ``dst``, plus a fallback flag.
+    """Catalog ops turning ``src`` into ``dst``, given the signatures of
+    both rules, plus a fallback flag.
 
     Returns ``(ops, False)`` when the catalog expresses the whole diff and
     ``(ops, True)`` when a REPLACE_RULE fallback is required; fallback ops
     replace any partial inference so later entries cannot damage the
     replacement.
     """
-    return _infer(src, dst, rule_signature(src), rule_signature(dst))
-
-
-#: Kinds whose op matches nothing unless the rule holds the keyword that
-#: this param names (never a brace, for a candidate).
-_KEYWORD_PARAM = {OpKind.REMOVE_KEYWORD: "text", OpKind.RENAME_KEYWORD: "from"}
-
-
-def _infer(
-    src: ParserRule, dst: ParserRule, src_sig: list[str], target_sig: list[str]
-) -> tuple[list[TransformOp], bool]:
-    """``infer_rule_ops`` given the signatures of both rules."""
     if src_sig == target_sig:
         return [], False
     if src.returns_type != dst.returns_type or src.enum != dst.enum:
@@ -332,25 +303,24 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
     adaptation of ``g1``.  Rules only present in ``g1`` are removed via a
     REPLACE_RULE entry so the replay identity holds for deletions too.
     """
-    pairing = pair_rules(g1, g1prime)
     src_rules = {r.name: r for r in g1.rules}
     # Each paired G1' rule is signed once, for the search and the check.
     target_sigs = [rule_signature(r) if r.name in src_rules else None for r in g1prime.rules]
     dst_rules = {r.name: (r, sig) for r, sig in zip(g1prime.rules, target_sigs)}
+    names = [r.name for r in g1.rules]
+    removed = [n for n in names if n not in dst_rules]
     entries: list[TransformOp] = []
-    fallback_count = 0
-    for rule_name in pairing.pairs:
-        src = src_rules[rule_name]
-        dst, dst_sig = dst_rules[rule_name]
-        ops, fell_back = _infer(src, dst, rule_signature(src), dst_sig)
-        if fell_back:
-            fallback_count += 1
-        entries.extend(ops)
-    for rule_name in pairing.unmatched_left:
-        entries.append(
-            TransformOp(OpKind.REPLACE_RULE, rule_scope(rule_name), {"remove": True})
-        )
-        fallback_count += 1
+    fallback_count = len(removed)
+    for rule_name in names:
+        if rule_name in dst_rules:
+            src = src_rules[rule_name]
+            dst, dst_sig = dst_rules[rule_name]
+            ops, fell_back = infer_rule_ops(src, dst, rule_signature(src), dst_sig)
+            fallback_count += fell_back
+            entries.extend(ops)
+    entries.extend(
+        TransformOp(OpKind.REPLACE_RULE, rule_scope(n), {"remove": True}) for n in removed
+    )
 
     provenance = (
         f"extracted from {g1.name or 'unnamed'} pair"

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .conformance import check_conformance
 from .model import Grammar
-from .parsing import ParseDiagnostic, parse_grammar, print_grammar
+from .parsing import ParseDiagnostic, _surely_unparsable, parse_grammar, print_grammar
 
 PROMPT_1_TEXT = (
     "The attachment contains two Xtext grammars for the same language: the "
@@ -200,6 +200,8 @@ def extract_grammar_from_reply(reply_text: str) -> Grammar | ExtractionFailure:
         return ExtractionFailure(NO_GRAMMAR_FOUND)
     diagnostics: tuple[ParseDiagnostic, ...] = ()
     for candidate in candidates:
+        if diagnostics and _surely_unparsable(candidate):
+            continue  # its diagnostics would not be reported
         parsed = parse_grammar(candidate)
         if isinstance(parsed, Grammar) and parsed.rules:
             return parsed

@@ -188,8 +188,13 @@ class _Source:
 
 
 def _lex(text: str, first_line: int = 1) -> list[str]:
-    """Tokenize grammar text; comments are dropped, strings stay quoted.
-    Raises TokenizeError on an unterminated string literal or comment."""
+    """Split grammar text into comparison tokens.
+
+    Whitespace separates and comments are dropped; quoted literals are
+    single tokens (quotes kept as written); ``=>``, ``+=`` and ``?=`` are
+    two-character tokens; all other punctuation is one token per character.
+    Raises TokenizeError on an unterminated string literal or comment.
+    """
     texts = _TOKEN.findall(text)
     while texts and not texts[-1]:
         texts.pop()  # `\Z`
@@ -213,17 +218,6 @@ def _kinds(texts: list[str]) -> list[str]:
     return [
         kind_of(t[0]) or (_IDENT if t[0].isalpha() or t[0].isdigit() else _PUNCT) for t in texts
     ]
-
-
-def tokenize(source_text: str) -> list[str]:
-    """Split grammar text into comparison tokens.
-
-    Whitespace separates and comments are dropped; quoted literals are
-    single tokens (quotes kept as written); ``=>``, ``+=`` and ``?=`` are
-    two-character tokens; all other punctuation is one token per character.
-    Raises TokenizeError on an unterminated string literal or comment.
-    """
-    return _lex(source_text)
 
 
 def token_distance(a: list[str], b: list[str]) -> int:
@@ -619,6 +613,22 @@ def parse_grammar(source_text: str) -> Grammar | list[ParseDiagnostic]:
         declared_terminals=tuple(terminals),
         rules=tuple(rules),
     )
+
+
+def _surely_unparsable(text: str) -> bool:
+    """A cheap test that ``parse_grammar(text)`` fails: the text does not lex,
+    or holds a backtick outside a terminal's body (from ``terminal`` to
+    ``;``), the one place where the parser takes any token."""
+    try:
+        tokens = _lex(_split_header(_unix_newlines(text))[1])
+    except TokenizeError:
+        return True
+    in_terminal = False
+    for token in tokens:
+        in_terminal = (in_terminal or token == "terminal") and token != ";"
+        if token == "`" and not in_terminal:
+            return True
+    return False
 
 
 def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:

@@ -15,7 +15,7 @@ from xtadapt.model import (
     node_at,
     walk,
 )
-from xtadapt.parsing import parse_grammar, print_grammar, rule_signature, tokenize
+from xtadapt.parsing import _lex, parse_grammar, print_grammar, rule_signature
 from xtadapt.transform import (
     OpKind,
     TransformOp,
@@ -37,7 +37,7 @@ def normalize_token(token: str) -> str:
 
 
 def normalized_tokens(source_text: str) -> list[str]:
-    return [normalize_token(t) for t in tokenize(source_text)]
+    return [normalize_token(t) for t in _lex(source_text)]
 
 
 def grammar_body_tokens(grammar: Grammar) -> list[str]:

@@ -29,7 +29,7 @@ from corpus import (
 )
 from xtadapt.cli import main
 from xtadapt.conformance import FindingKind, check_conformance
-from xtadapt.evaluate import compute_rac, compute_similarity, format_percent
+from xtadapt.evaluate import evaluate, format_percent
 from xtadapt.extract import extract_config
 from xtadapt.llm import (
     MAX_FOLLOW_UPS,
@@ -96,13 +96,12 @@ def test_c2_metric_arithmetic(tmp_path, capsys):
         ]
         for shape, rac_cell, percent_cell, similarity in cases:
             g2, candidate, target = build_trio(*shape)
-            n_total, n_correct, rac = compute_rac(g2, candidate, target)
-            assert (n_total, n_correct) == (shape[1], shape[2])
-            assert abs(rac * 100 - float(rac_cell.rstrip("%"))) < 0.01
-            assert format_percent(rac) == rac_cell
-            same, diff, percent = compute_similarity(candidate, target)
-            assert (same, diff) == similarity
-            assert format_percent(percent) == percent_cell
+            report = evaluate(g2, candidate, target)
+            assert (report.n_total, report.n_correct) == (shape[1], shape[2])
+            assert abs(report.rac * 100 - float(rac_cell.rstrip("%"))) < 0.01
+            assert format_percent(report.rac) == rac_cell
+            assert (report.same, report.diff) == similarity
+            assert format_percent(report.percent) == percent_cell
 
             # The evaluate command must print the same cells.
             paths = {}
@@ -126,10 +125,10 @@ def test_c2_metric_arithmetic(tmp_path, capsys):
 def test_c3_vacuous_evolution_full_rac():
     with criterion(3, "zero required adaptations reports RAC 100%"):
         g2, candidate, target = build_trio(12, 0, 0)
-        n_total, _, rac = compute_rac(g2, candidate, target)
-        assert n_total == 0
-        assert rac == 1.0
-        assert format_percent(rac) == "100%"
+        report = evaluate(g2, candidate, target)
+        assert report.n_total == 0
+        assert report.rac == 1.0
+        assert format_percent(report.rac) == "100%"
 
 
 def test_c4_round_trip_fidelity_corpus():

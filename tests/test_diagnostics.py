@@ -1,12 +1,12 @@
 """Pinned diagnostics: the message and full source span of every error that
-``tokenize``, ``parse_grammar`` and ``parse_rule_body`` report for a corpus
-of bad inputs.  Spans are ``(start_line, start_col, end_line, end_col)``,
+the lexer (``_lex``, labelled ``tokenize``), ``parse_grammar`` and
+``parse_rule_body`` report for a corpus of bad inputs.  Spans are ``(start_line, start_col, end_line, end_col)``,
 lines and columns counted from 1; a tab and a carriage return are one column
 each, and ``parse_grammar`` counts header lines."""
 
 import pytest
 
-from xtadapt.parsing import TokenizeError, parse_grammar, parse_rule_body, tokenize
+from xtadapt.parsing import TokenizeError, _lex, parse_grammar, parse_rule_body
 
 HEADER = "grammar org.example.Demo with org.eclipse.xtext.common.Terminals\nimport 'http://x'\n\n"
 
@@ -192,7 +192,7 @@ CASES = [
 def _diagnostics(fn: str, text: str) -> list[tuple[str, tuple[int, int, int, int]]]:
     if fn == "tokenize":
         try:
-            tokenize(text)
+            _lex(text)
         except TokenizeError as err:
             s = err.span
             return [(str(err), (s.start_line, s.start_col, s.end_line, s.end_col))]

@@ -9,10 +9,6 @@ from xtadapt.evaluate import (
     _pair_types,
     _required_rules,
     _Signatures,
-    classify_adaptations,
-    compare_rules,
-    compute_rac,
-    compute_similarity,
     evaluate,
     format_percent,
     report_table,
@@ -23,12 +19,22 @@ from xtadapt.parsing import parse_grammar
 evaluate_module = importlib.import_module("xtadapt.evaluate")
 
 
-# -- compare_rules ----------------------------------------------------------
+def _rac(report):
+    """(n_total, n_correct, rac) of a report."""
+    return report.n_total, report.n_correct, report.rac
+
+
+def _similarity(report):
+    """(same, diff, percent) of a report."""
+    return report.same, report.diff, report.percent
+
+
+# -- rule comparisons -------------------------------------------------------
 
 
 def test_compare_identical_grammar():
     target = load_grammar("mission_target.xtext")
-    comparisons = compare_rules(target, target)
+    comparisons = evaluate(target, target, target).comparisons
     assert [(c.rule_name, c.status, c.token_distance) for c in comparisons] == [
         ("Mission", RuleStatus.SAME, 0)
     ]
@@ -36,7 +42,7 @@ def test_compare_identical_grammar():
 
 def test_compare_differing_rule():
     g1, g1prime = load_pair("mission")
-    comparisons = compare_rules(g1, g1prime)
+    comparisons = evaluate(g1, g1, g1prime).comparisons
     assert comparisons[0].status is RuleStatus.DIFF
     assert comparisons[0].token_distance > 0
 
@@ -44,12 +50,12 @@ def test_compare_differing_rule():
 def test_compare_missing_and_extra():
     small = parse_grammar("A: 'a';")
     big = parse_grammar("A: 'a';\n\nB: 'b';")
-    comparisons = compare_rules(small, big)
+    comparisons = evaluate(small, small, big).comparisons
     assert [(c.rule_name, c.status) for c in comparisons] == [
         ("A", RuleStatus.SAME),
         ("B", RuleStatus.MISSING_IN_CANDIDATE),
     ]
-    comparisons = compare_rules(big, small)
+    comparisons = evaluate(big, big, small).comparisons
     assert ("B", RuleStatus.EXTRA_IN_CANDIDATE) in [
         (c.rule_name, c.status) for c in comparisons
     ]
@@ -57,16 +63,16 @@ def test_compare_missing_and_extra():
 
 def test_same_iff_distance_zero():
     g2, candidate, target = build_trio(6, 4, 2)
-    for comparison in compare_rules(candidate, target):
+    for comparison in evaluate(g2, candidate, target).comparisons:
         assert (comparison.status is RuleStatus.SAME) == (comparison.token_distance == 0)
 
 
-# -- compute_rac ------------------------------------------------------------
+# -- RAC ------------------------------------------------------------------
 
 
 def test_rac_dot_scale():
     g2, candidate, target = build_trio(24, 19, 16)
-    n_total, n_correct, rac = compute_rac(g2, candidate, target)
+    n_total, n_correct, rac = _rac(evaluate(g2, candidate, target))
     assert (n_total, n_correct) == (19, 16)
     assert abs(rac - 16 / 19) < 1e-9
     assert format_percent(rac) == "84.21%"
@@ -74,14 +80,14 @@ def test_rac_dot_scale():
 
 def test_rac_xcore_scale():
     g2, candidate, target = build_trio(40, 32, 20)
-    n_total, n_correct, rac = compute_rac(g2, candidate, target)
+    n_total, n_correct, rac = _rac(evaluate(g2, candidate, target))
     assert (n_total, n_correct) == (32, 20)
     assert format_percent(rac) == "62.50%"
 
 
 def test_rac_nothing_adapted_is_zero():
     g2, _, target = build_trio(10, 4, 0)
-    n_total, n_correct, rac = compute_rac(g2, g2, target)
+    n_total, n_correct, rac = _rac(evaluate(g2, g2, target))
     assert n_total == 4
     assert n_correct == 0
     assert rac == 0.0
@@ -90,7 +96,7 @@ def test_rac_nothing_adapted_is_zero():
 
 def test_rac_vacuous_when_no_adaptation_required():
     target = load_grammar("mission_target.xtext")
-    n_total, n_correct, rac = compute_rac(target, target, target)
+    n_total, n_correct, rac = _rac(evaluate(target, target, target))
     assert n_total == 0
     assert rac == 1.0
     assert format_percent(rac) == "100%"
@@ -98,24 +104,24 @@ def test_rac_vacuous_when_no_adaptation_required():
 
 def test_rac_candidate_equal_target_is_full():
     g2, _, target = build_trio(12, 7, 0)
-    _, n_correct, rac = compute_rac(g2, target, target)
+    _, n_correct, rac = _rac(evaluate(g2, target, target))
     assert n_correct == 7
     assert rac == 1.0
 
 
-# -- compute_similarity -------------------------------------------------------
+# -- similarity -------------------------------------------------------------
 
 
 def test_similarity_xcore_scale():
     _, candidate, target = build_trio(40, 32, 20)
-    same, diff, percent = compute_similarity(candidate, target)
+    same, diff, percent = _similarity(evaluate(candidate, candidate, target))
     assert (same, diff) == (28, 12)
     assert format_percent(percent) == "70.00%"
 
 
 def test_similarity_dot_scale():
     _, candidate, target = build_trio(24, 19, 16)
-    same, diff, percent = compute_similarity(candidate, target)
+    same, diff, percent = _similarity(evaluate(candidate, candidate, target))
     assert (same, diff) == (21, 3)
     assert format_percent(percent) == "87.50%"
 
@@ -124,21 +130,21 @@ def test_similarity_identity_over_corpus():
     from corpus import corpus_grammars
 
     for name, grammar in corpus_grammars():
-        same, diff, percent = compute_similarity(grammar, grammar)
+        same, diff, percent = _similarity(evaluate(grammar, grammar, grammar))
         assert (same, diff, percent) == (len(grammar.rules), 0, 1.0), name
 
 
 def test_similarity_missing_counts_as_diff():
     small = parse_grammar("A: 'a';")
     big = parse_grammar("A: 'a';\n\nB: 'b';")
-    same, diff, _ = compute_similarity(small, big)
+    same, diff, _ = _similarity(evaluate(small, small, big))
     assert (same, diff) == (1, 1)
 
 
 def test_similarity_extra_rules_do_not_reduce_percent():
     target = parse_grammar("A: 'a';")
     candidate = parse_grammar("A: 'a';\n\nB: 'b';")
-    same, diff, percent = compute_similarity(candidate, target)
+    same, diff, percent = _similarity(evaluate(candidate, candidate, target))
     assert (same, diff, percent) == (1, 0, 1.0)
 
 
@@ -147,19 +153,19 @@ def test_monotonicity_of_correct_counts():
     previous_same = -1
     for correct in range(0, 5):
         g2, candidate, target = build_trio(8, 4, correct)
-        _, n_correct, _ = compute_rac(g2, candidate, target)
-        same, _, _ = compute_similarity(candidate, target)
+        report = evaluate(g2, candidate, target)
+        n_correct, same = report.n_correct, report.same
         assert n_correct > previous_correct
         assert same > previous_same
         previous_correct, previous_same = n_correct, same
 
 
-# -- classify_adaptations -----------------------------------------------------
+# -- adaptation types -------------------------------------------------------
 
 
 def test_classify_mission_candidate_equals_target():
     g2, target = load_pair("mission")
-    per_type = classify_adaptations(g2, target, target)
+    per_type = evaluate(g2, target, target).per_type
     expected = {
         AdaptationType.ATTRIBUTE_PROMOTION,
         AdaptationType.TYPE_SYSTEM_ADAPTATION,
@@ -174,7 +180,7 @@ def test_classify_mission_candidate_equals_target():
 
 def test_classify_nothing_realized():
     g2, target = load_pair("mission")
-    per_type = classify_adaptations(g2, target, g2)
+    per_type = evaluate(g2, g2, target).per_type
     assert per_type
     for counts in per_type.values():
         assert counts.correct == 0
@@ -183,14 +189,14 @@ def test_classify_nothing_realized():
 
 def test_classify_occ_equals_cor_plus_inc():
     g2, candidate, target = build_trio(10, 6, 3)
-    per_type = classify_adaptations(g2, target, candidate)
+    per_type = evaluate(g2, candidate, target).per_type
     for counts in per_type.values():
         assert counts.occurrences == counts.correct + counts.incorrect
 
 
 def test_classify_fallback_pair_uses_signature_scan():
     g2, target = load_pair("port")
-    per_type = classify_adaptations(g2, target, target)
+    per_type = evaluate(g2, target, target).per_type
     assert AdaptationType.BRACE_OPTIONALITY_REMOVAL in per_type
     assert AdaptationType.KEYWORD_REMOVAL in per_type
     for counts in per_type.values():
@@ -201,7 +207,7 @@ def test_classify_perfect_candidate_never_incorrect():
     from corpus import corpus_pairs
 
     for name, g2, target, _ in corpus_pairs():
-        per_type = classify_adaptations(g2, target, target)
+        per_type = evaluate(g2, target, target).per_type
         for adaptation_type, counts in per_type.items():
             assert counts.incorrect == 0, (name, adaptation_type)
             assert counts.correct == counts.occurrences, (name, adaptation_type)
@@ -238,7 +244,7 @@ def test_classify_agrees_with_a_search_of_every_candidate_rule():
     trios += [(g2, target, target) for _, g2, target, _ in corpus_pairs()]
     trios += [(g2, target, g2) for _, g2, target, _ in corpus_pairs()]
     for g2, candidate, target in trios:
-        per_type = classify_adaptations(g2, target, candidate)
+        per_type = evaluate(g2, candidate, target).per_type
         assert all(c.occurrences == c.correct + c.incorrect for c in per_type.values())
         assert {t: (c.occurrences, c.incorrect) for t, c in per_type.items()} == _searched_counts(
             g2, target, candidate
@@ -250,35 +256,19 @@ def test_unadapted_rules_reuse_the_search_of_their_needed_types(monkeypatch):
     the candidate left as G2 has them are not searched again, and the one it
     realized equals the target."""
     searched = []
-    search = evaluate_module._infer
+    search = evaluate_module.infer_rule_ops
 
-    def counted(src, dst, *args):
+    def counted(src, dst, src_sig, dst_sig):
         searched.append(src.name)
-        return search(src, dst, *args)
+        return search(src, dst, src_sig, dst_sig)
 
-    monkeypatch.setattr(evaluate_module, "_infer", counted)
+    monkeypatch.setattr(evaluate_module, "infer_rule_ops", counted)
     g2, candidate, target = build_trio(8, 4, 1)
-    per_type = classify_adaptations(g2, target, candidate)
+    per_type = evaluate(g2, candidate, target).per_type
     assert searched == ["R00", "R01", "R02", "R03"]
     assert {t: (c.occurrences, c.correct, c.incorrect) for t, c in per_type.items()} == {
         AdaptationType.KEYWORD_REMOVAL: (4, 1, 3)
     }
-
-
-def test_evaluate_agrees_with_the_public_parts():
-    """evaluate shares one signature map per grammar; each part of its
-    report still equals the standalone function."""
-    from corpus import corpus_pairs
-
-    trios = [build_trio(12, 7, 4), build_trio(5, 0, 0)]
-    trios += [(g2, g2, target) for _, g2, target, _ in corpus_pairs()]
-    trios += [(g2, target, target) for _, g2, target, _ in corpus_pairs()]
-    for g2, candidate, target in trios:
-        report = evaluate(g2, candidate, target)
-        assert (report.n_total, report.n_correct, report.rac) == compute_rac(g2, candidate, target)
-        assert (report.same, report.diff, report.percent) == compute_similarity(candidate, target)
-        assert report.per_type == classify_adaptations(g2, target, candidate)
-        assert report.comparisons == compare_rules(candidate, target)
 
 
 # -- report -------------------------------------------------------------------

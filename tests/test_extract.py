@@ -14,34 +14,10 @@ from corpus import (
     read_fixture,
 )
 import xtadapt.transform as transform
-from xtadapt.extract import extract_config, infer_rule_ops, pair_rules
+from xtadapt.extract import extract_config, infer_rule_ops
 from xtadapt.model import Grammar
-from xtadapt.parsing import parse_grammar, print_grammar
+from xtadapt.parsing import parse_grammar, print_grammar, rule_signature
 from xtadapt.transform import OpKind, apply_config
-
-
-def test_pair_rules_mission():
-    g1, g1prime = load_pair("mission")
-    pairing = pair_rules(g1, g1prime)
-    assert pairing.pairs == ("Mission",)
-    assert pairing.unmatched_left == ()
-    assert pairing.unmatched_right == ()
-
-
-def test_pair_rules_set_difference():
-    left = parse_grammar("A: 'a';\n\nB: 'b';")
-    right = parse_grammar("B: 'b';\n\nC: 'c';")
-    pairing = pair_rules(left, right)
-    assert pairing.pairs == ("B",)
-    assert pairing.unmatched_left == ("A",)
-    assert pairing.unmatched_right == ("C",)
-
-
-def test_pair_rules_empty():
-    pairing = pair_rules(Grammar(), Grammar())
-    assert pairing.pairs == ()
-    assert pairing.unmatched_left == ()
-    assert pairing.unmatched_right == ()
 
 
 def test_extract_mission_config():
@@ -156,7 +132,8 @@ def test_fallback_count_matches_replace_entries():
 
 def test_infer_rule_ops_keeps_only_fallback_on_residual():
     g1, g1prime = load_pair("xtypeparameter")
-    ops, fell_back = infer_rule_ops(g1.rules[0], g1prime.rules[0])
+    src, dst = g1.rules[0], g1prime.rules[0]
+    ops, fell_back = infer_rule_ops(src, dst, rule_signature(src), rule_signature(dst))
     assert fell_back
     assert [op.kind for op in ops] == [OpKind.REPLACE_RULE]
 
@@ -244,8 +221,9 @@ _TRIO = ("R returns R: 'R' '{' ('a' a=ID)? '}';", "R returns R: 'R' '{' (a=ID)? 
 
 
 def _trio_rules():
+    """The trio's source and target rules and their signatures."""
     src, dst = (parse_grammar(text).rules[0] for text in _TRIO)
-    return src, dst
+    return src, dst, rule_signature(src), rule_signature(dst)
 
 
 def test_trio_search_makes_one_applier_call(monkeypatch):
@@ -275,6 +253,6 @@ def test_trio_search_indexes_each_rule_state_once(monkeypatch):
         build(self, rule)
 
     monkeypatch.setattr(transform.RuleIndex, "__init__", counted)
-    src, dst = _trio_rules()
-    infer_rule_ops(src, dst)
+    src, dst, src_sig, dst_sig = _trio_rules()
+    infer_rule_ops(src, dst, src_sig, dst_sig)
     assert built == [src, dst]

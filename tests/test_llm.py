@@ -3,7 +3,9 @@ import json
 import pytest
 
 from corpus import grammar_body_tokens, load_grammar, load_pair
+import xtadapt.llm as llm
 from xtadapt.llm import (
+    _FENCE_RE,
     FOLLOW_UP_TEXT,
     MAX_FOLLOW_UPS,
     PROMPT_1_TEXT,
@@ -21,7 +23,7 @@ from xtadapt.llm import (
     save_transcript,
 )
 from xtadapt.model import Grammar
-from xtadapt.parsing import print_grammar
+from xtadapt.parsing import parse_grammar, print_grammar
 
 MISSION_TERMINALS = frozenset({"Identifier", "UUID", "String0", "Comment"})
 
@@ -199,14 +201,52 @@ def test_extract_reports_parse_diagnostics():
 
 
 def test_extract_reports_the_fence_not_its_closing_backticks():
-    """A fenced grammar that lacks a ';' fails in the fence and again from its
-    ``grammar`` line to the end of the reply; only the fence's diagnostics
-    are reported, not the closing fence the second region runs into."""
+    """A fenced grammar that lacks a ';' fails in the fence; only the fence's
+    diagnostics are reported, not the closing fence that the region from its
+    ``grammar`` line runs into."""
     grammar = "grammar org.example.M\n\nA: 'a'\n\nB: 'b';"
     reply = f"Here is the adapted grammar.\n\n```xtext\n{grammar}\n```\n"
     extracted = extract_grammar_from_reply(reply)
     assert isinstance(extracted, ExtractionFailure)
     assert extracted.issues() == ["parse error at 5:2: unexpected token ':' in rule body"]
+
+
+def test_a_failing_fence_is_parsed_once(monkeypatch):
+    """The region from the fence's ``grammar`` line to the end of the reply
+    runs over the closing backticks, which no rule accepts, so it is not
+    parsed again."""
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_grammar(text)
+
+    monkeypatch.setattr(llm, "parse_grammar", counted)
+    text = print_grammar(load_grammar("mission_target.xtext"))
+    at = text.index(";\n")  # the first rule's terminator
+    reply = f"Here is the adapted grammar.\n\n```xtext\n{text[:at] + text[at + 1:]}```\n"
+    extracted = extract_grammar_from_reply(reply)
+    assert isinstance(extracted, ExtractionFailure)
+    assert extracted.diagnostics
+    assert len(parsed) == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        "```\ngrammar org.example.M\n\nA: 'a'; /* open\n```\n*/ B: 'b';",
+        "```\ngrammar org.example.M\n\nA: 'a' // no line break```\n;\nB: 'b';",
+        "```\ngrammar org.example.M\n\nA: 'a';\nterminal T: 'b'\n```\n;\nB: 'b';",
+    ],
+    ids=["open-comment", "line-comment", "terminal-body"],
+)
+def test_the_grammar_line_region_is_tried_where_it_can_parse(reply):
+    """The closing backticks can fall into a comment or a terminal's body, so
+    text after them can complete a fence that fails."""
+    assert isinstance(parse_grammar(_FENCE_RE.search(reply)[1]), list)
+    extracted = extract_grammar_from_reply(reply)
+    assert isinstance(extracted, Grammar)
+    assert [r.name for r in extracted.rules] == ["A", "B"]
 
 
 # -- http backend -------------------------------------------------------------

@@ -26,13 +26,14 @@ from xtadapt.parsing import (
     ParseDiagnostic,
     TokenizeError,
     UnprintableError,
+    _lex,
+    _surely_unparsable,
     parse_grammar,
     parse_rule_body,
     print_grammar,
     print_rule,
     rule_signature,
     token_distance,
-    tokenize,
 )
 from xtadapt.transform import (
     OpKind,
@@ -44,7 +45,7 @@ from xtadapt.transform import (
 )
 
 
-# -- tokenize ---------------------------------------------------------------
+# -- lexing -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -61,16 +62,16 @@ from xtadapt.transform import (
     ],
 )
 def test_tokenize(text, expected):
-    assert tokenize(text) == expected
+    assert _lex(text) == expected
 
 
 def test_tokenize_unterminated_string():
     with pytest.raises(TokenizeError):
-        tokenize("'unclosed")
+        _lex("'unclosed")
 
 
 def test_tokenize_drops_comments():
-    assert tokenize("a // trailing\nb /* multi\nline */ c") == ["a", "b", "c"]
+    assert _lex("a // trailing\nb /* multi\nline */ c") == ["a", "b", "c"]
 
 
 def test_normalized_tokens_equate_quote_styles():
@@ -422,6 +423,24 @@ def test_junk_that_parses_survives_round_trip(text):
     reparsed = parse_grammar(printed)
     assert isinstance(reparsed, Grammar)
     assert reparsed == result
+
+
+_BACKTICK_SOUP = st.lists(
+    st.sampled_from(
+        ["`", "```", "terminal", "T", ":", ";", "A", "x=ID", "'s'", "'", "/*", "*/", "//", "\n",
+         "grammar a.B\n"]
+    ),
+    max_size=25,
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_BACKTICK_SOUP)
+def test_surely_unparsable_text_never_parses(text):
+    """Reply extraction skips parsing a text that ``_surely_unparsable``
+    flags, so it may flag only texts that ``parse_grammar`` rejects."""
+    if _surely_unparsable(text):
+        assert isinstance(parse_grammar(text), list)
 
 
 def _expression_strategy():

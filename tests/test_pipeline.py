@@ -1,16 +1,20 @@
 """Whole-pipeline scenarios: scale behavior and multi-step evolution chains."""
 
-from corpus import grammar_body_tokens
-from xtadapt.evaluate import (
-    AdaptationType,
-    classify_adaptations,
-    compute_rac,
-    compute_similarity,
-)
+import importlib
+from collections import Counter
+
+from corpus import build_trio, grammar_body_tokens
+import xtadapt.extract as extract
+import xtadapt.parsing as parsing
+import xtadapt.transform as transform
+from xtadapt.evaluate import AdaptationType, evaluate
 from xtadapt.extract import extract_config
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar
 from xtadapt.transform import apply_config
+
+#: The module, which the package's `evaluate` function shadows.
+evaluate_module = importlib.import_module("xtadapt.evaluate")
 
 
 def _entity_rule(name: str, extra_attr: str | None = None) -> str:
@@ -65,12 +69,11 @@ def test_systematic_adaptations_across_many_rules():
     assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
     assert report.warnings == []
 
-    n_total, n_correct, rac = compute_rac(g1, adapted, g1prime)
-    assert (n_total, n_correct, rac) == (50, 50, 1.0)
-    same, diff, percent = compute_similarity(adapted, g1prime)
-    assert (same, diff, percent) == (50, 0, 1.0)
+    evaluation = evaluate(g1, adapted, g1prime)
+    assert (evaluation.n_total, evaluation.n_correct, evaluation.rac) == (50, 50, 1.0)
+    assert (evaluation.same, evaluation.diff, evaluation.percent) == (50, 0, 1.0)
 
-    per_type = classify_adaptations(g1, g1prime, adapted)
+    per_type = evaluation.per_type
     promotion = per_type[AdaptationType.ATTRIBUTE_PROMOTION]
     assert promotion.occurrences == 50
     assert promotion.correct == 50
@@ -100,9 +103,9 @@ def test_longitudinal_reuse_across_evolution_steps():
         + [_entity_rule("EntityNew")]
     )
     # Rules the config knows about are adapted; the new rule stays generated.
-    n_total, n_correct, rac = compute_rac(g2, g2prime, expected_v2)
-    assert n_total == 6
-    assert (n_correct, rac) == (6, 1.0)
+    evaluation = evaluate(g2, g2prime, expected_v2)
+    assert evaluation.n_total == 6
+    assert (evaluation.n_correct, evaluation.rac) == (6, 1.0)
 
     # Evolution step 2: learn from the richer pair (now covering EntityNew),
     # then reuse on a third version where a metaclass disappeared.
@@ -126,5 +129,48 @@ def test_longitudinal_reuse_across_evolution_steps():
         ]
     )
     assert grammar_body_tokens(g3prime) == grammar_body_tokens(expected_v3)
-    n_total, n_correct, rac = compute_rac(g3, g3prime, expected_v3)
-    assert rac == 1.0
+    assert evaluate(g3, g3prime, expected_v3).rac == 1.0
+
+
+# -- counted work -----------------------------------------------------------
+
+
+def test_counted_work_grows_linearly_in_rules(monkeypatch):
+    """Learning, replaying and scoring a trio of 50, 200 and 800 rules: each
+    unit of work (pair searches, rule index builds, applier calls and
+    signatures) grows at most 4.4x per 4x rules.  Counts, not timings."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module in (parsing, transform, extract, evaluate_module):
+        for name in ("infer_rule_ops", "rule_signature"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for kind, applier in list(transform._APPLIERS.items()):
+        monkeypatch.setitem(transform._APPLIERS, kind, counting("applier", applier))
+    build = transform.RuleIndex.__init__
+
+    def counted_build(self, rule):
+        counts["RuleIndex"] += 1
+        build(self, rule)
+
+    monkeypatch.setattr(transform.RuleIndex, "__init__", counted_build)
+
+    per_size = []
+    for total in (50, 200, 800):
+        g2, candidate, target = build_trio(total, total // 2, total // 10)
+        counts.clear()
+        config = extract_config(g2, target).config
+        apply_config(config, g2)
+        evaluate(g2, candidate, target)
+        per_size.append(dict(counts))
+    assert set(per_size[0]) == {"infer_rule_ops", "rule_signature", "applier", "RuleIndex"}
+    for small, big in zip(per_size, per_size[1:]):
+        for name, count in small.items():
+            assert big[name] <= 4.4 * count, (name, small, big)
