@@ -26,7 +26,7 @@ from .model import (
     walk,
 )
 from .parsing import rule_signature, token_distance
-from .transform import OpKind, _is_word
+from .transform import CATALOG, AdaptationType, _is_word
 
 
 class RuleStatus(Enum):
@@ -34,28 +34,6 @@ class RuleStatus(Enum):
     DIFF = "DIFF"
     MISSING_IN_CANDIDATE = "MISSING_IN_CANDIDATE"
     EXTRA_IN_CANDIDATE = "EXTRA_IN_CANDIDATE"
-
-
-class AdaptationType(Enum):
-    BRACE_OPTIONALITY_REMOVAL = "BRACE_OPTIONALITY_REMOVAL"
-    KEYWORD_REMOVAL = "KEYWORD_REMOVAL"
-    ATTRIBUTE_PROMOTION = "ATTRIBUTE_PROMOTION"
-    SEPARATOR_MODIFICATION = "SEPARATOR_MODIFICATION"
-    TYPE_SYSTEM_ADAPTATION = "TYPE_SYSTEM_ADAPTATION"
-
-
-_TYPE_OF_OP: dict[OpKind, AdaptationType] = {
-    OpKind.REMOVE_BRACES: AdaptationType.BRACE_OPTIONALITY_REMOVAL,
-    OpKind.MAKE_BRACES_OPTIONAL: AdaptationType.BRACE_OPTIONALITY_REMOVAL,
-    OpKind.REMOVE_OPTIONALITY: AdaptationType.BRACE_OPTIONALITY_REMOVAL,
-    OpKind.ADD_OPTIONALITY: AdaptationType.BRACE_OPTIONALITY_REMOVAL,
-    OpKind.REMOVE_KEYWORD: AdaptationType.KEYWORD_REMOVAL,
-    OpKind.RENAME_KEYWORD: AdaptationType.KEYWORD_REMOVAL,
-    OpKind.PROMOTE_ATTRIBUTE: AdaptationType.ATTRIBUTE_PROMOTION,
-    OpKind.CHANGE_SEPARATOR: AdaptationType.SEPARATOR_MODIFICATION,
-    OpKind.ADD_TERMINATOR: AdaptationType.SEPARATOR_MODIFICATION,
-    OpKind.CHANGE_CALLED_RULE: AdaptationType.TYPE_SYSTEM_ADAPTATION,
-}
 
 
 @dataclass(frozen=True)
@@ -239,7 +217,7 @@ def _pair_types(
     ops, fell_back = infer_rule_ops(src, dst, src_sig, dst_sig)
     if fell_back:
         return _signature_scan(src, dst)
-    return {_TYPE_OF_OP[op.kind] for op in ops}  # no REPLACE_RULE without a fallback
+    return {CATALOG[op.kind].adaptation for op in ops}  # no REPLACE_RULE without a fallback
 
 
 def _classify(

@@ -27,8 +27,7 @@ from .model import (
 )
 from .parsing import render_body_inline, rule_signature, token_distance
 from .transform import (
-    _APPLIERS,
-    PHASE_OF,
+    CATALOG,
     OpKind,
     RuleIndex,
     TransformOp,
@@ -216,18 +215,13 @@ def _candidates(
         if text not in dst_keywords and text not in src_index.separators:
             add(OpKind.REMOVE_KEYWORD, rule_scope(name), {"text": text})
 
-    ops.sort(key=lambda op: PHASE_OF[op.kind])
+    ops.sort(key=lambda op: CATALOG[op.kind].phase)
     return ops
 
 
 # ---------------------------------------------------------------------------
 # Greedy inference with the replay oracle
 # ---------------------------------------------------------------------------
-
-
-#: Kinds whose op matches nothing unless the rule holds the keyword that
-#: this param names (never a brace, for a candidate).
-_KEYWORD_PARAM = {OpKind.REMOVE_KEYWORD: "text", OpKind.RENAME_KEYWORD: "from"}
 
 
 def infer_rule_ops(
@@ -256,10 +250,10 @@ def infer_rule_ops(
         for cand in candidates:
             if cand in accepted:
                 continue
-            param = _KEYWORD_PARAM.get(cand.kind)
-            if param is not None and cand.param(param) not in index.keywords:
+            spec = CATALOG[cand.kind]
+            if spec.keyword is not None and cand.param(spec.keyword) not in index.keywords:
                 continue  # matches nothing
-            new_rule, matched = _APPLIERS[cand.kind](working, cand, index)
+            new_rule, matched = spec.apply(working, cand, index)
             if matched == 0:
                 continue
             new_distance = token_distance(rule_signature(new_rule), target_sig)
@@ -272,14 +266,14 @@ def infer_rule_ops(
                 index = RuleIndex(working)
     if distance > 0:
         return [_fallback_op(dst, src)], True
-    ordered = sorted(accepted, key=lambda op: PHASE_OF[op.kind])
+    ordered = sorted(accepted, key=lambda op: CATALOG[op.kind].phase)
     if ordered != accepted:
         # The greedy loop validated ops in acceptance order; replay runs them
         # phase-bucketed, which can disagree when ops overlap structurally.
         # In acceptance order the replay would redo the loop's own applies.
         replayed, index = src, src_index
         for op in ordered:
-            replayed, matched = _APPLIERS[op.kind](replayed, op, index)
+            replayed, matched = CATALOG[op.kind].apply(replayed, op, index)
             if matched:
                 index = RuleIndex(replayed)
         if rule_signature(replayed) != target_sig:

@@ -203,8 +203,7 @@ def is_brace(expr: Expression) -> bool:
 
 def brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
     """The brace region of a sequence: indices of its first balanced
-    ``'{'`` ... ``'}'`` keyword pair, or None.  A group is braced when its
-    span is ``(0, len(children) - 1)``, so ``('{' a '}' '{' b '}')`` is not."""
+    ``'{'`` ... ``'}'`` keyword pair, or None."""
     depth = 0
     open_idx = -1
     for i, child in enumerate(children):
@@ -219,6 +218,12 @@ def brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
             if depth == 0 and open_idx >= 0:
                 return open_idx, i
     return None
+
+
+def is_braced(expr: Expression) -> bool:
+    """Whether ``expr`` is a Group whose brace region spans all of it:
+    ``('{' a '}')`` is braced, ``('{' a '}' '{' b '}')`` is not."""
+    return isinstance(expr, Group) and brace_span(expr.children) == (0, len(expr.children) - 1)
 
 
 def walk(expr: Expression, path: Path = ()) -> Iterator[tuple[Path, Expression]]:

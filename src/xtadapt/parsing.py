@@ -32,8 +32,8 @@ from .model import (
     ParserRule,
     RuleCall,
     TerminalDecl,
-    brace_span,
     is_brace,
+    is_braced,
     settle,
 )
 
@@ -813,11 +813,7 @@ def render_body_inline(expr: Expression) -> str:
 
 
 def _is_braced_group(expr: Expression) -> bool:
-    return (
-        isinstance(expr, Group)
-        and not expr.predicated
-        and brace_span(expr.children) == (0, len(expr.children) - 1)
-    )
+    return is_braced(expr) and not expr.predicated
 
 
 def _sequence_lines(children: tuple[Expression, ...], indent: int) -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .model import (
     Alternatives,
@@ -29,6 +29,7 @@ from .model import (
     collapse,
     grammar_problems,
     is_brace,
+    is_braced,
     node_at,
     settle,
     with_children,
@@ -60,22 +61,31 @@ class OpKind(Enum):
     REPLACE_RULE = "REPLACE_RULE"
 
 
-#: Canonical application order: wholesale replacement, then structural moves,
-#: then optionality, brace removal, keyword edits, separators/terminators and
-#: finally called-rule rewrites.  Entries keep their listed order per phase.
-PHASE_OF: dict[OpKind, int] = {
-    OpKind.REPLACE_RULE: 1,
-    OpKind.PROMOTE_ATTRIBUTE: 2,
-    OpKind.MAKE_BRACES_OPTIONAL: 3,
-    OpKind.ADD_OPTIONALITY: 3,
-    OpKind.REMOVE_OPTIONALITY: 3,
-    OpKind.REMOVE_BRACES: 4,
-    OpKind.REMOVE_KEYWORD: 5,
-    OpKind.RENAME_KEYWORD: 5,
-    OpKind.CHANGE_SEPARATOR: 6,
-    OpKind.ADD_TERMINATOR: 6,
-    OpKind.CHANGE_CALLED_RULE: 7,
-}
+class AdaptationType(Enum):
+    BRACE_OPTIONALITY_REMOVAL = "BRACE_OPTIONALITY_REMOVAL"
+    KEYWORD_REMOVAL = "KEYWORD_REMOVAL"
+    ATTRIBUTE_PROMOTION = "ATTRIBUTE_PROMOTION"
+    SEPARATOR_MODIFICATION = "SEPARATOR_MODIFICATION"
+    TYPE_SYSTEM_ADAPTATION = "TYPE_SYSTEM_ADAPTATION"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One kind's catalog row: its ``phase`` in the application order, its
+    ``adaptation`` type (None for the REPLACE_RULE fallback), its applier
+    ``apply(rule, op, index) -> (rule | None, matched)`` (a None rule is
+    deleted; ``index``, the rule's ``RuleIndex``, may be None for a RULE or
+    GRAMMAR scope), the param naming a ``keyword`` the rule must hold to
+    match, the params that must be ``strings`` and the param it ``writes``
+    into the rule, with the printer's test for it."""
+
+    phase: int
+    adaptation: AdaptationType | None
+    apply: Callable
+    keyword: str | None
+    strings: tuple[str, ...]
+    writes: tuple[str, Callable[[object], bool]] | None
+
 
 @dataclass(frozen=True)
 class Scope:
@@ -342,7 +352,7 @@ def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
     for i, child in enumerate(children):
         if span is not None and i == span[0]:
             return i, False
-        if isinstance(child, Group) and brace_span(child.children) == (0, len(child.children) - 1):
+        if is_braced(child):
             return i, True
     return None
 
@@ -588,22 +598,33 @@ def _apply_replace_rule(
     return new_rule, 1
 
 
-#: Every operation kind's rule-level applier ``(rule, op, index) -> (rule,
-#: matched)``, where ``index`` is the rule's ``RuleIndex`` (None is enough
-#: for a RULE or GRAMMAR scope); a None rule (REPLACE_RULE with ``remove``)
-#: deletes the rule.
-_APPLIERS = {
-    OpKind.REPLACE_RULE: _apply_replace_rule,
-    OpKind.REMOVE_KEYWORD: _apply_remove_keyword,
-    OpKind.RENAME_KEYWORD: _apply_rename_keyword,
-    OpKind.REMOVE_BRACES: _apply_remove_braces,
-    OpKind.REMOVE_OPTIONALITY: _apply_set_optionality,
-    OpKind.ADD_OPTIONALITY: _apply_set_optionality,
-    OpKind.CHANGE_SEPARATOR: _apply_change_separator,
-    OpKind.ADD_TERMINATOR: _apply_add_terminator,
-    OpKind.CHANGE_CALLED_RULE: _apply_change_called_rule,
-    OpKind.PROMOTE_ATTRIBUTE: _apply_promote_attribute,
-    OpKind.MAKE_BRACES_OPTIONAL: _apply_make_braces_optional,
+#: The operation catalog, one row per kind.  Phases give the application
+#: order: wholesale replacement, then structural moves, then optionality,
+#: brace removal, keyword edits, separators/terminators and finally
+#: called-rule rewrites; entries keep their listed order within a phase.
+#: Columns: OpSpec(phase, adaptation, apply, keyword, strings, writes).
+CATALOG: dict[OpKind, OpSpec] = {
+    OpKind.REPLACE_RULE: OpSpec(1, None, _apply_replace_rule, None, (), None),
+    OpKind.PROMOTE_ATTRIBUTE: OpSpec(2, AdaptationType.ATTRIBUTE_PROMOTION,
+        _apply_promote_attribute, None, (), None),
+    OpKind.MAKE_BRACES_OPTIONAL: OpSpec(3, AdaptationType.BRACE_OPTIONALITY_REMOVAL,
+        _apply_make_braces_optional, None, (), None),
+    OpKind.ADD_OPTIONALITY: OpSpec(3, AdaptationType.BRACE_OPTIONALITY_REMOVAL,
+        _apply_set_optionality, None, (), None),
+    OpKind.REMOVE_OPTIONALITY: OpSpec(3, AdaptationType.BRACE_OPTIONALITY_REMOVAL,
+        _apply_set_optionality, None, (), None),
+    OpKind.REMOVE_BRACES: OpSpec(4, AdaptationType.BRACE_OPTIONALITY_REMOVAL,
+        _apply_remove_braces, None, (), None),
+    OpKind.REMOVE_KEYWORD: OpSpec(5, AdaptationType.KEYWORD_REMOVAL,
+        _apply_remove_keyword, "text", ("text",), None),
+    OpKind.RENAME_KEYWORD: OpSpec(5, AdaptationType.KEYWORD_REMOVAL,
+        _apply_rename_keyword, "from", ("from", "to"), ("to", printable_keyword)),
+    OpKind.CHANGE_SEPARATOR: OpSpec(6, AdaptationType.SEPARATOR_MODIFICATION,
+        _apply_change_separator, None, ("from",), ("to", printable_keyword)),
+    OpKind.ADD_TERMINATOR: OpSpec(6, AdaptationType.SEPARATOR_MODIFICATION,
+        _apply_add_terminator, None, ("text",), ("text", printable_keyword)),
+    OpKind.CHANGE_CALLED_RULE: OpSpec(7, AdaptationType.TYPE_SYSTEM_ADAPTATION,
+        _apply_change_called_rule, None, ("from", "to"), ("to", printable_name)),
 }
 
 
@@ -640,7 +661,7 @@ def _apply_in_order(
             if index is None and op.scope.kind is ScopeKind.ATTRIBUTE:
                 index = RuleIndex(rule)
             try:
-                new_rule, m = _APPLIERS[op.kind](rule, op, index)
+                new_rule, m = CATALOG[op.kind].apply(rule, op, index)
             except TransformError as err:
                 errors.setdefault(i, err)
                 break
@@ -670,7 +691,7 @@ def apply_config(
 ) -> tuple[Grammar, ApplyReport]:
     """Apply all entries in canonical phase order, in one pass over the
     rules; the input is untouched."""
-    ordered = sorted(config.entries, key=lambda op: PHASE_OF[op.kind])
+    ordered = sorted(config.entries, key=lambda op: CATALOG[op.kind].phase)
     rules, matched = _apply_in_order(ordered, grammar)
     report = ApplyReport([OpOutcome(op=op, matched=m) for op, m in zip(ordered, matched)])
     current = replace(grammar, rules=rules) if any(matched) else grammar
@@ -702,30 +723,11 @@ def config_to_json(config: TransformationConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-#: Params each kind needs as strings; a config entry without them is
-#: rejected on load instead of applying ``str(None)``.
-_STRING_PARAMS: dict[OpKind, tuple[str, ...]] = {
-    OpKind.REMOVE_KEYWORD: ("text",),
-    OpKind.RENAME_KEYWORD: ("from", "to"),
-    OpKind.CHANGE_SEPARATOR: ("from",),
-    OpKind.ADD_TERMINATOR: ("text",),
-    OpKind.CHANGE_CALLED_RULE: ("from", "to"),
-}
-
-
-#: The param each kind writes into the rule as a keyword or a rule name,
-#: checked with the printer's own predicate: a config that loads prints.
-_WRITTEN = {
-    OpKind.RENAME_KEYWORD: ("to", printable_keyword),
-    OpKind.ADD_TERMINATOR: ("text", printable_keyword),
-    OpKind.CHANGE_SEPARATOR: ("to", printable_keyword),
-    OpKind.CHANGE_CALLED_RULE: ("to", printable_name),
-}
-
-
 def _params_problem(kind: OpKind, params: dict) -> str | None:
-    """Why ``params`` cannot drive an op of ``kind``, or None."""
-    for name in _STRING_PARAMS.get(kind, ()):
+    """Why ``params`` cannot drive an op of ``kind``, or None: a config that
+    loads never applies ``str(None)``, and prints."""
+    spec = CATALOG[kind]
+    for name in spec.strings:
         if not isinstance(params.get(name), str):
             return f"{kind.value} needs a string {name!r} param"
     if kind is OpKind.CHANGE_SEPARATOR and not isinstance(params.get("to"), (str, type(None))):
@@ -741,8 +743,8 @@ def _params_problem(kind: OpKind, params: dict) -> str | None:
             return "REPLACE_RULE 'returns' must be a string"
         if returns and not printable_name(returns):
             return f"REPLACE_RULE 'returns' {returns!r} cannot be printed"
-    if kind in _WRITTEN:
-        name, printable = _WRITTEN[kind]
+    if spec.writes is not None:
+        name, printable = spec.writes
         value = params.get(name)
         if value is not None and not printable(value):
             return f"{kind.value} {name!r} {value!r} cannot be printed"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -229,13 +230,13 @@ def _trio_rules():
 def test_trio_search_makes_one_applier_call(monkeypatch):
     """The first trial reaches distance 0, so it is the only one."""
     calls = []
-    for kind, applier in list(transform._APPLIERS.items()):
+    for kind, spec in list(transform.CATALOG.items()):
 
-        def counted(*args, kind=kind, applier=applier):
+        def counted(*args, kind=kind, applier=spec.apply):
             calls.append(kind)
             return applier(*args)
 
-        monkeypatch.setitem(transform._APPLIERS, kind, counted)
+        monkeypatch.setitem(transform.CATALOG, kind, replace(spec, apply=counted))
     ops, fell_back = infer_rule_ops(*_trio_rules())
     assert not fell_back
     assert [op.kind for op in ops] == [OpKind.REMOVE_KEYWORD]

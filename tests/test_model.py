@@ -18,6 +18,7 @@ from xtadapt.model import (
     find_rule,
     grammar_problems,
     is_brace,
+    is_braced,
     node_at,
     walk,
 )
@@ -237,5 +238,20 @@ def test_group_with_two_brace_pairs_is_not_braced():
     a, b = RuleCall(rule_name="a"), RuleCall(rule_name="b")
     group = Group(children=(Keyword(text="{"), a, Keyword(text="}"), Keyword(text="{"), b, Keyword(text="}")))
     assert brace_span(group.children) == (0, 2)
+    assert not is_braced(group)
     assert not _is_braced_group(group)
     assert _brace_region((Keyword(text="k"), group)) is None
+
+
+def test_is_braced_is_the_one_braced_group_test():
+    """A predicate does not unbrace a group; only the printer's layout test
+    also asks for no predicate.  A braces wrapper is a rule's brace region."""
+    lb, rb, a = Keyword(text="{"), Keyword(text="}"), RuleCall(rule_name="a")
+    braced = Group(children=(lb, a, rb), cardinality=Cardinality.OPTIONAL)
+    assert is_braced(braced) and _is_braced_group(braced)
+    predicated = replace(braced, predicated=True)
+    assert is_braced(predicated) and not _is_braced_group(predicated)
+    assert not is_braced(Group(children=(lb, a, rb, a)))
+    assert not is_braced(Group(children=()))
+    assert not is_braced(lb)
+    assert _brace_region((Keyword(text="k"), braced)) == (1, True)

@@ -2,6 +2,7 @@
 
 import importlib
 from collections import Counter
+from dataclasses import replace
 
 from corpus import build_trio, grammar_body_tokens
 import xtadapt.extract as extract
@@ -152,8 +153,9 @@ def test_counted_work_grows_linearly_in_rules(monkeypatch):
         for name in ("infer_rule_ops", "rule_signature"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for kind, applier in list(transform._APPLIERS.items()):
-        monkeypatch.setitem(transform._APPLIERS, kind, counting("applier", applier))
+    for kind, spec in list(transform.CATALOG.items()):
+        counted = replace(spec, apply=counting("applier", spec.apply))
+        monkeypatch.setitem(transform.CATALOG, kind, counted)
     build = transform.RuleIndex.__init__
 
     def counted_build(self, rule):

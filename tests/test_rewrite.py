@@ -64,7 +64,7 @@ from xtadapt.model import (
 import xtadapt.transform as transform
 from xtadapt.parsing import parse_grammar, print_grammar
 from xtadapt.transform import (
-    _APPLIERS,
+    CATALOG,
     OpKind,
     RuleIndex,
     Scope,
@@ -512,7 +512,7 @@ def _full_walk(rule: ParserRule, op: TransformOp) -> tuple[ParserRule, int]:
     pruned = transform._rewrite
     transform._rewrite = _ref_rewrite
     try:
-        return _APPLIERS[op.kind](rule, op, RuleIndex(rule))
+        return CATALOG[op.kind].apply(rule, op, RuleIndex(rule))
     finally:
         transform._rewrite = pruned
 
@@ -521,7 +521,7 @@ def _same_as_reference(rule: ParserRule, op: TransformOp) -> bool:
     """Assert the applier agrees with the reference, and its pruned walk
     with the full one; True on a pinned shape."""
     expected = _expected(rule, op)
-    got = _APPLIERS[op.kind](rule, op, RuleIndex(rule))
+    got = CATALOG[op.kind].apply(rule, op, RuleIndex(rule))
     assert got == expected, (op.describe(), rule)
     assert got == _full_walk(rule, op), (op.describe(), rule)
     return bool(_PINNED or _SETTLED)
@@ -644,7 +644,7 @@ def test_drawn_rules_agree_with_the_reference(rule, data):
 def _applied(text: str, entry: TransformOp) -> str:
     grammar = parse_grammar(text)
     assert isinstance(grammar, Grammar)
-    rule, matched = _APPLIERS[entry.kind](grammar.rules[0], entry, RuleIndex(grammar.rules[0]))
+    rule, matched = CATALOG[entry.kind].apply(grammar.rules[0], entry, RuleIndex(grammar.rules[0]))
     assert matched
     adapted = Grammar(rules=(rule,))
     printed = print_grammar(adapted)
@@ -687,7 +687,7 @@ def test_settled_branch_is_its_child():
     assert _same_as_reference(parse_grammar("R: 'a' (b=B) | 'c';").rules[0], remove)
     drawn = ParserRule("R", None, Group(children=(Keyword(text="k"),)))
     rename = TransformOp(OpKind.RENAME_KEYWORD, rule_scope("R"), {"from": "k", "to": "new"})
-    assert _APPLIERS[rename.kind](drawn, rename, RuleIndex(drawn)) == (
+    assert CATALOG[rename.kind].apply(drawn, rename, RuleIndex(drawn)) == (
         ParserRule("R", None, Keyword(text="new")),
         1,
     )
@@ -713,7 +713,8 @@ def test_promote_keeps_the_marks_of_the_rest_of_the_body():
 
 def test_promote_that_empties_the_rest_of_the_body_matches_nothing():
     rule = parse_grammar("R: ('n' name=ID)?;").rules[0]
-    assert _APPLIERS[OpKind.PROMOTE_ATTRIBUTE](rule, _promote("name"), RuleIndex(rule)) == (rule, 0)
+    promote = CATALOG[OpKind.PROMOTE_ATTRIBUTE].apply
+    assert promote(rule, _promote("name"), RuleIndex(rule)) == (rule, 0)
     assert not _same_as_reference(rule, _promote("name"))
 
 

@@ -24,7 +24,7 @@ from xtadapt.parsing import (
     rule_signature,
 )
 from xtadapt.transform import (
-    PHASE_OF,
+    CATALOG,
     OpKind,
     Scope,
     ScopeKind,
@@ -459,7 +459,7 @@ def test_config_from_json_fails_closed(doc):
 
 def _one_op_at_a_time(config, grammar):
     """apply_config's definition: apply_single per entry, in phase order."""
-    ordered = sorted(config.entries, key=lambda entry: PHASE_OF[entry.kind])
+    ordered = sorted(config.entries, key=lambda entry: CATALOG[entry.kind].phase)
     outcomes = []
     for entry in ordered:
         grammar, matched = apply_single(entry, grammar)
