@@ -40,8 +40,6 @@ from .model import (
     ParserRule,
     RuleCall,
     TerminalDecl,
-    assignments_of,
-    find_rule,
 )
 from .parsing import (
     ParseDiagnostic,
@@ -57,7 +55,6 @@ from .transform import (
     TransformOp,
     TransformationConfig,
     apply_config,
-    apply_single,
     attribute_scope,
     config_from_json,
     config_to_json,
@@ -99,8 +96,6 @@ __all__ = [
     "TransformOp",
     "TransformationConfig",
     "apply_config",
-    "apply_single",
-    "assignments_of",
     "attribute_scope",
     "check_conformance",
     "config_from_json",
@@ -108,7 +103,6 @@ __all__ = [
     "evaluate",
     "extract_config",
     "extract_grammar_from_reply",
-    "find_rule",
     "grammar_scope",
     "parse_grammar",
     "print_grammar",

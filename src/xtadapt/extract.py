@@ -21,6 +21,7 @@ from .model import (
     ParserRule,
     RuleCall,
     children_of,
+    grammar_problems,
     is_brace,
     node_at,
     walk,
@@ -30,9 +31,9 @@ from .transform import (
     CATALOG,
     OpKind,
     RuleIndex,
+    TransformError,
     TransformOp,
     TransformationConfig,
-    apply_config,
     attribute_scope,
     rule_scope,
 )
@@ -295,12 +296,19 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
 
     Rules only present in ``g1prime`` are ignored: they cannot stem from an
     adaptation of ``g1``.  Rules only present in ``g1`` are removed via a
-    REPLACE_RULE entry so the replay identity holds for deletions too.
+    REPLACE_RULE entry so the replay identity holds for deletions too.  The
+    search proves each other rule; checked here are ``g1``'s invariants,
+    ``g1prime`` rules that share a name and that fallback bodies replay.
     """
+    if problems := grammar_problems(g1):
+        raise TransformError("config application broke grammar invariants: " + "; ".join(problems))
     src_rules = {r.name: r for r in g1.rules}
-    # Each paired G1' rule is signed once, for the search and the check.
+    # Each paired G1' rule is signed once, for the search and the checks.
     target_sigs = [rule_signature(r) if r.name in src_rules else None for r in g1prime.rules]
     dst_rules = {r.name: (r, sig) for r, sig in zip(g1prime.rules, target_sigs)}
+    for rule, sig in zip(g1prime.rules, target_sigs):
+        if dst_rules[rule.name][1] != sig:
+            raise ExtractionError(f"extracted config does not replay rule {rule.name!r}")
     names = [r.name for r in g1.rules]
     removed = [n for n in names if n not in dst_rules]
     entries: list[TransformOp] = []
@@ -310,6 +318,10 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
             src = src_rules[rule_name]
             dst, dst_sig = dst_rules[rule_name]
             ops, fell_back = infer_rule_ops(src, dst, rule_signature(src), dst_sig)
+            if fell_back:
+                replaced, _ = CATALOG[OpKind.REPLACE_RULE].apply(src, ops[0], None)
+                if rule_signature(replaced) != dst_sig:
+                    raise ExtractionError(f"extracted config does not replay rule {rule_name!r}")
             fallback_count += fell_back
             entries.extend(ops)
     entries.extend(
@@ -322,31 +334,4 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
         else f"identity: {g1.name or 'unnamed'} pair has no rule differences"
     )
     config = TransformationConfig(entries=tuple(entries), provenance=provenance)
-    _verify_round_trip(config, g1, g1prime, target_sigs)
     return ExtractionResult(config=config, fallback_count=fallback_count)
-
-
-def _verify_round_trip(
-    config: TransformationConfig,
-    g1: Grammar,
-    g1prime: Grammar,
-    target_sigs: list[list[str] | None],
-) -> None:
-    """Replay ``config`` on ``g1`` and check every rule against ``g1prime``,
-    given the signatures of its rules that ``g1`` also names, in rule order."""
-    replayed, _ = apply_config(config, g1)
-    replayed_rules = {r.name: r for r in replayed.rules}
-    target_names = {r.name for r in g1prime.rules}
-    for rule, target_sig in zip(g1prime.rules, target_sigs):
-        got = replayed_rules.get(rule.name)
-        if got is None:
-            continue  # rule added on the evolved-metamodel path, not extractable
-        if rule_signature(got) != target_sig:
-            raise ExtractionError(
-                f"extracted config does not replay rule {rule.name!r}"
-            )
-    for rule in replayed.rules:
-        if rule.name not in target_names:
-            raise ExtractionError(
-                f"extracted config leaves stale rule {rule.name!r} behind"
-            )

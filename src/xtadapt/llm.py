@@ -20,7 +20,7 @@ from enum import Enum
 
 from .conformance import check_conformance
 from .model import Grammar
-from .parsing import ParseDiagnostic, _surely_unparsable, parse_grammar, print_grammar
+from .parsing import ParseDiagnostic, _surely_unparsable, parse_grammar, parse_json, print_grammar
 
 PROMPT_1_TEXT = (
     "The attachment contains two Xtext grammars for the same language: the "
@@ -96,7 +96,7 @@ class MockBackend:
     @classmethod
     def from_replay_file(cls, path: str) -> "MockBackend":
         with open(path, encoding="utf-8") as handle:
-            replies = json.load(handle)
+            replies = parse_json(handle.read(), BackendError, "")
         if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
             raise BackendError(f"replay file {path} must be a JSON array of strings")
         return cls(replies)

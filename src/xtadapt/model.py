@@ -94,7 +94,8 @@ class Group(Expression):
     children: tuple[Expression, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,8 @@ class Alternatives(Expression):
     branches: tuple[Expression, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
+        if type(self.branches) is not tuple:
+            object.__setattr__(self, "branches", tuple(self.branches))
 
 
 @dataclass(frozen=True)
@@ -238,23 +240,6 @@ def node_at(expr: Expression, path: Path) -> Expression:
     for i in path:
         node = children_of(node)[i]
     return node
-
-
-def find_rule(grammar: Grammar, name: str) -> ParserRule | None:
-    """The unique rule with ``name``, or None; absence is a value."""
-    for rule in grammar.rules:
-        if rule.name == name:
-            return rule
-    return None
-
-
-def assignments_of(rule: ParserRule) -> list[tuple[Path, Assignment]]:
-    """Every Assignment node of the rule body in pre-order.
-
-    Paths are child-index lists from the body root, so duplicated features
-    (the ``X (sep X)*`` repetition shape) yield one entry per occurrence.
-    """
-    return [(p, n) for p, n in walk(rule.body) if isinstance(n, Assignment)]
 
 
 def grammar_problems(grammar: Grammar) -> list[str]:

@@ -34,7 +34,7 @@ from .model import (
     settle,
     with_children,
 )
-from .parsing import keyword_quote, parse_rule_body, printable_keyword, printable_name
+from .parsing import keyword_quote, parse_json, parse_rule_body, printable_keyword, printable_name
 
 
 class TransformError(Exception):
@@ -460,7 +460,8 @@ def _apply_change_separator(
             rest = node.children[1:]
             if new is not None:
                 sep = node.children[0]
-                rest = (replace(sep, text=str(new), quote=keyword_quote(str(new), sep.quote)),) + rest
+                quote = keyword_quote(str(new), sep.quote)
+                rest = (replace(sep, text=str(new), quote=quote),) + rest
             return replace(node, children=rest), 1
         return node, 0
 
@@ -486,7 +487,8 @@ def _apply_add_terminator(
     for anchor in anchors:
         node = node_at(rule.body, anchor)
         if isinstance(node, Group):
-            last = [i for i, c in enumerate(node.children) if isinstance(c, Assignment) and c.feature == feature]
+            kids = enumerate(node.children)
+            last = [i for i, c in kids if isinstance(c, Assignment) and c.feature == feature]
             if last:
                 after.setdefault(anchor, set()).add(last[-1])
         elif anchor and isinstance(node_at(rule.body, anchor[:-1]), Group):
@@ -677,15 +679,6 @@ def _apply_in_order(
     return tuple(rules), matched
 
 
-def apply_single(op: TransformOp, grammar: Grammar) -> tuple[Grammar, int]:
-    """Apply one operation to every in-scope rule in one pass; a scope that
-    matches nothing yields the input grammar and count 0."""
-    rules, (matched,) = _apply_in_order([op], grammar)
-    if not matched:
-        return grammar, 0
-    return replace(grammar, rules=rules), matched
-
-
 def apply_config(
     config: TransformationConfig, grammar: Grammar
 ) -> tuple[Grammar, ApplyReport]:
@@ -753,10 +746,7 @@ def _params_problem(kind: OpKind, params: dict) -> str | None:
 
 def config_from_json(text: str) -> TransformationConfig:
     """Load a config; any malformed document raises TransformError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TransformError(f"invalid config JSON: {err}") from err
+    doc = parse_json(text, TransformError, "invalid config JSON: ")
     if not isinstance(doc, dict) or "entries" not in doc:
         raise TransformError("invalid config JSON: missing 'entries'")
     if not isinstance(doc["entries"], list):

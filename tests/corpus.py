@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from xtadapt.model import (
@@ -11,6 +12,8 @@ from xtadapt.model import (
     Grammar,
     Group,
     Keyword,
+    ParserRule,
+    Path as TreePath,
     RuleCall,
     node_at,
     walk,
@@ -21,6 +24,7 @@ from xtadapt.transform import (
     TransformOp,
     RuleIndex,
     TransformationConfig,
+    _apply_in_order,
     apply_config,
     attribute_scope,
     rule_scope,
@@ -47,6 +51,38 @@ def grammar_body_tokens(grammar: Grammar) -> list[str]:
         tokens.extend(rule_signature(rule))
     terminals = Grammar(declared_terminals=grammar.declared_terminals)
     return tokens + normalized_tokens(print_grammar(terminals))
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions that the library's batched code is checked against
+# ---------------------------------------------------------------------------
+
+
+def find_rule(grammar: Grammar, name: str) -> ParserRule | None:
+    """The unique rule with ``name``, or None; absence is a value."""
+    for rule in grammar.rules:
+        if rule.name == name:
+            return rule
+    return None
+
+
+def assignments_of(rule: ParserRule) -> list[tuple[TreePath, Assignment]]:
+    """Every Assignment node of the rule body in pre-order.
+
+    Paths are child-index lists from the body root, so duplicated features
+    (the ``X (sep X)*`` repetition shape) yield one entry per occurrence.
+    """
+    return [(p, n) for p, n in walk(rule.body) if isinstance(n, Assignment)]
+
+
+def apply_single(op: TransformOp, grammar: Grammar) -> tuple[Grammar, int]:
+    """Apply one operation to every in-scope rule in one pass; a scope that
+    matches nothing yields the input grammar and count 0."""
+    rules, (matched,) = _apply_in_order([op], grammar)
+    if not matched:
+        return grammar, 0
+    return replace(grammar, rules=rules), matched
+
 
 #: (pair name, catalog-expressible) — expressible pairs must extract with
 #: fallbackCount 0; the others exercise the REPLACE_RULE fallback.

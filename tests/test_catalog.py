@@ -71,7 +71,7 @@ def test_adaptation_type_is_exported_where_it_was():
 
     assert exported_by_evaluate is AdaptationType
     assert xtadapt.AdaptationType is AdaptationType
-    assert len(xtadapt.__all__) == 48
+    assert len(xtadapt.__all__) == 45
 
 
 def _readme_rows() -> dict[str, list[str]]:

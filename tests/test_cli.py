@@ -66,6 +66,30 @@ def test_extract_internal_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "extracted config does not replay rule 'Mission'\n"
 
 
+_DUPLICATE_A = "A: 'a' x=ID; A: 'b' y=ID;\n"
+
+
+@pytest.mark.parametrize(
+    "g1,g1prime,message",
+    [
+        (_DUPLICATE_A, "A: x=ID;\n",
+         "config application broke grammar invariants: duplicate rule name 'A'"),
+        ("A: x=ID;\n", _DUPLICATE_A, "extracted config does not replay rule 'A'"),
+    ],
+    ids=["g1", "g1prime"],
+)
+def test_extract_duplicate_rule_names_exit_2(tmp_path, capsys, g1, g1prime, message):
+    paths = []
+    for name, text in (("g1", g1), ("g1prime", g1prime)):
+        path = tmp_path / f"{name}.xtext"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "c.json"
+    assert main(["extract", "--g1", paths[0], "--g1-prime", paths[1], "--out-config", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 # -- apply --------------------------------------------------------------------
 
 
@@ -159,6 +183,33 @@ def test_apply_config_missing_params_exit_2(tmp_path, capsys, entry, fragment):
     assert not out.exists()
 
 
+#: JSON the decoder rejects although it is well formed: nesting past the
+#: interpreter's recursion limit, and an integer too long to convert.
+_DEEP_JSON = "[" * 3000 + "]" * 3000
+_HUGE_NUMBER_JSON = json.dumps({"entries": [
+    {"kind": "REMOVE_KEYWORD", "scope": {"kind": "GRAMMAR"}, "params": {"text": "N"}}
+]}).replace('"N"', "7" * 5000)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_DEEP_JSON, "invalid config JSON: maximum recursion depth exceeded"),
+        (_HUGE_NUMBER_JSON, "invalid config JSON: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "huge-number"],
+)
+def test_apply_undecodable_config_exit_2(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "o.xtext"
+    assert main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def _apply_to(tmp_path, grammar_text, entry):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
@@ -245,6 +296,19 @@ def test_adapt_scripted_success(tmp_path, terminals_file, capsys):
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["rac"] == 1.0
     assert "ACCEPTED" in capsys.readouterr().out
+
+
+def test_adapt_undecodable_replay_file_exit_2(tmp_path, capsys):
+    replay = tmp_path / "replay.json"
+    replay.write_text(_DEEP_JSON, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["adapt", "--g1", MISSION_G1, "--g1-prime", MISSION_G1P, "--g2", MISSION_G1,
+                 "--backend", f"mock:{replay}", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load replay file {replay}: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_adapt_exhausted_exit_3(tmp_path, terminals_file):

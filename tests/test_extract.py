@@ -14,11 +14,12 @@ from corpus import (
     random_mutation_pair,
     read_fixture,
 )
+import xtadapt.extract as extract
 import xtadapt.transform as transform
-from xtadapt.extract import extract_config, infer_rule_ops
+from xtadapt.extract import ExtractionError, extract_config, infer_rule_ops
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar, print_grammar, rule_signature
-from xtadapt.transform import OpKind, apply_config
+from xtadapt.transform import OpKind, TransformError, apply_config
 
 
 def test_extract_mission_config():
@@ -137,6 +138,34 @@ def test_infer_rule_ops_keeps_only_fallback_on_residual():
     ops, fell_back = infer_rule_ops(src, dst, rule_signature(src), rule_signature(dst))
     assert fell_back
     assert [op.kind for op in ops] == [OpKind.REPLACE_RULE]
+
+
+def test_search_falls_back_when_phase_order_disagrees_with_acceptance_order():
+    """The greedy loop accepts ADD_TERMINATOR before REMOVE_KEYWORD; in phase
+    order the two ops give another rule, so the search must fall back."""
+    g1 = parse_grammar("Comment returns Comment: 'Comment' '{' ('body' body=String0)? '}';")
+    g1prime = parse_grammar("Comment returns Comment: 'extends' '{' (body=String0 ';') '}';")
+    result = extract_config(g1, g1prime)
+    assert result.fallback_count == 1
+    assert [op.kind for op in result.config.entries] == [OpKind.REPLACE_RULE]
+    adapted, _ = apply_config(result.config, g1)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
+
+
+def test_fallback_body_that_does_not_parse_raises(monkeypatch):
+    monkeypatch.setattr(extract, "render_body_inline", lambda body: "name=ID (")
+    left = parse_grammar("A returns A: name=ID;")
+    right = parse_grammar("A returns Base: name=ID;")
+    with pytest.raises(TransformError, match=r"@ rule A: body does not parse"):
+        extract_config(left, right)
+
+
+def test_fallback_body_that_parses_to_another_rule_raises(monkeypatch):
+    monkeypatch.setattr(extract, "render_body_inline", lambda body: "other=ID")
+    left = parse_grammar("A returns A: name=ID;")
+    right = parse_grammar("A returns Base: name=ID;")
+    with pytest.raises(ExtractionError, match=r"^extracted config does not replay rule 'A'$"):
+        extract_config(left, right)
 
 
 def test_returns_clause_change_falls_back():

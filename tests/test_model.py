@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import load_grammar
+from corpus import assignments_of, find_rule, load_grammar
 from xtadapt.model import (
+    Alternatives,
     Assignment,
     Cardinality,
     Grammar,
@@ -13,9 +14,7 @@ from xtadapt.model import (
     Keyword,
     ParserRule,
     RuleCall,
-    assignments_of,
     brace_span,
-    find_rule,
     grammar_problems,
     is_brace,
     is_braced,
@@ -103,6 +102,17 @@ def test_attributes_survive_untargeted_rewrite():
 def test_structural_equality_is_whitespace_independent(mission):
     other = load_grammar("mission_generated.xtext")
     assert mission == other
+
+
+def test_group_and_alternatives_turn_a_list_into_a_tuple():
+    kids = [Keyword(text="a"), Keyword(text="b")]
+    group, alternatives = Group(children=kids), Alternatives(branches=kids)
+    assert type(group.children) is tuple and type(alternatives.branches) is tuple
+    assert group == Group(children=tuple(kids))
+    assert alternatives == Alternatives(branches=tuple(kids))
+    assert hash(group) == hash(Group(children=tuple(kids)))
+    children = tuple(kids)
+    assert Group(children=children).children is children
 
 
 def test_grammar_problems_flags_duplicates_and_empty_groups():

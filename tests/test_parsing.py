@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PAIRS, corpus_grammars, load_grammar, normalized_tokens, random_mutation_pair, read_fixture
+from corpus import (
+    PAIRS,
+    apply_single,
+    assignments_of,
+    corpus_grammars,
+    load_grammar,
+    normalized_tokens,
+    random_mutation_pair,
+    read_fixture,
+)
 from xtadapt.model import (
     ActionAnnotation,
     Alternatives,
@@ -17,7 +26,6 @@ from xtadapt.model import (
     Keyword,
     ParserRule,
     RuleCall,
-    assignments_of,
     children_of,
     walk,
     with_children,
@@ -39,7 +47,6 @@ from xtadapt.transform import (
     OpKind,
     TransformError,
     TransformOp,
-    apply_single,
     attribute_scope,
     rule_scope,
 )

@@ -4,7 +4,7 @@ import importlib
 from collections import Counter
 from dataclasses import replace
 
-from corpus import build_trio, grammar_body_tokens
+from corpus import build_trio, corpus_pairs, grammar_body_tokens
 import xtadapt.extract as extract
 import xtadapt.parsing as parsing
 import xtadapt.transform as transform
@@ -12,7 +12,7 @@ from xtadapt.evaluate import AdaptationType, evaluate
 from xtadapt.extract import extract_config
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar
-from xtadapt.transform import apply_config
+from xtadapt.transform import OpKind, apply_config
 
 #: The module, which the package's `evaluate` function shadows.
 evaluate_module = importlib.import_module("xtadapt.evaluate")
@@ -176,3 +176,46 @@ def test_counted_work_grows_linearly_in_rules(monkeypatch):
     for small, big in zip(per_size, per_size[1:]):
         for name, count in small.items():
             assert big[name] <= 4.4 * count, (name, small, big)
+
+
+def test_extract_applies_and_indexes_only_inside_the_pair_search(monkeypatch):
+    """The pair search proves each rule, so extract makes no applier call
+    and no index build of its own, apart from applying each fallback body
+    once: the 200-rule trio takes one applier call per differing rule."""
+    counts = Counter()
+    depth = [0]
+    search = extract.infer_rule_ops
+
+    def counted_search(*args):
+        depth[0] += 1
+        try:
+            return search(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(extract, "infer_rule_ops", counted_search)
+    for kind, spec in list(transform.CATALOG.items()):
+
+        def counted(*args, kind=kind, applier=spec.apply):
+            counts["applier", kind if not depth[0] else "search"] += 1
+            return applier(*args)
+
+        monkeypatch.setitem(transform.CATALOG, kind, replace(spec, apply=counted))
+    build = transform.RuleIndex.__init__
+
+    def counted_build(self, rule):
+        counts["RuleIndex", "search" if depth[0] else "extract"] += 1
+        build(self, rule)
+
+    monkeypatch.setattr(transform.RuleIndex, "__init__", counted_build)
+
+    g2, _, target = build_trio(200, 100, 20)
+    result = extract_config(g2, target)
+    assert result.fallback_count == 0
+    assert counts == {("applier", "search"): 100, ("RuleIndex", "search"): 200}
+    for name, g1, g1prime, _ in corpus_pairs():
+        counts.clear()
+        config = extract_config(g1, g1prime).config
+        bodies = [e for e in config.entries if e.kind is OpKind.REPLACE_RULE and "body" in e.params]
+        assert counts["applier", OpKind.REPLACE_RULE] == len(bodies), name
+        assert {key for key in counts if key[1] != "search"} <= {("applier", OpKind.REPLACE_RULE)}

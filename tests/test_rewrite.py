@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import corpus_grammars, load_grammar, random_mutation_pair
+from corpus import apply_single, assignments_of, corpus_grammars, load_grammar, random_mutation_pair
 from test_transform import _ops_by_kind
 from xtadapt.model import (
     Alternatives,
@@ -53,7 +53,6 @@ from xtadapt.model import (
     ParserRule,
     Path,
     RuleCall,
-    assignments_of,
     brace_span,
     children_of,
     is_brace,
@@ -73,7 +72,6 @@ from xtadapt.transform import (
     _brace_region,
     _is_region,
     _sibling_of_anchor,
-    apply_single,
     attribute_scope,
     grammar_scope,
     rule_scope,

@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_mutation_pair
+from corpus import assignments_of, random_mutation_pair
 from test_rewrite import _FIXTURE_GRAMMARS, _NODE, _RULE, _ref_feature_anchors
 from xtadapt.model import (
     Assignment,
@@ -24,7 +24,6 @@ from xtadapt.model import (
     Keyword,
     ParserRule,
     Path,
-    assignments_of,
     is_brace,
     walk,
 )

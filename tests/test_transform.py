@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PAIRS, _mutation_candidates, grammar_body_tokens, load_grammar, load_pair
+from corpus import (
+    PAIRS,
+    _mutation_candidates,
+    apply_single,
+    assignments_of,
+    find_rule,
+    grammar_body_tokens,
+    load_grammar,
+    load_pair,
+)
 from xtadapt.model import (
     Alternatives,
     Assignment,
     Grammar,
     Keyword,
     RuleCall,
-    assignments_of,
-    find_rule,
     grammar_problems,
     walk,
 )
@@ -32,7 +39,6 @@ from xtadapt.transform import (
     TransformOp,
     TransformationConfig,
     apply_config,
-    apply_single,
     attribute_scope,
     config_from_json,
     config_to_json,
@@ -431,13 +437,33 @@ _CONFIG = st.fixed_dictionaries(
 )
 
 
+#: Well-formed JSON that the decoder may still reject: nesting deeper than
+#: the recursion limit, or an integer too long to convert.
+_DEEP = st.builds(
+    lambda depth, doc: "[" * depth + json.dumps(doc) + "]" * depth,
+    st.integers(min_value=0, max_value=5_000),
+    _JSON | _CONFIG,
+)
+_NUMBER_SLOT = "\x00number"
+_LONG_NUMBER = st.builds(
+    lambda doc, digits: json.dumps(doc).replace(json.dumps(_NUMBER_SLOT), digits),
+    st.sampled_from([
+        _NUMBER_SLOT,
+        {"entries": [], "provenance": _NUMBER_SLOT},
+        {"entries": [{"kind": "REMOVE_KEYWORD", "scope": {"kind": "GRAMMAR"},
+                      "params": {"text": _NUMBER_SLOT}}]},
+    ]),
+    st.integers(min_value=1, max_value=6_000).map(lambda n: "7" * n),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=_JSON | _CONFIG)
-def test_config_from_json_fails_closed(doc):
-    """Any JSON value loads or raises TransformError, and a loaded config
+@given(text=(_JSON | _CONFIG).map(json.dumps) | _DEEP | _LONG_NUMBER)
+def test_config_from_json_fails_closed(text):
+    """Any JSON text loads or raises TransformError, and a loaded config
     applies or raises TransformError."""
     try:
-        config = config_from_json(json.dumps(doc))
+        config = config_from_json(text)
     except TransformError:
         return
     for entry in config.entries:
