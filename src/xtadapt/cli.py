@@ -72,7 +72,7 @@ def _make_backend(spec: str, model: str, credential_env: str):
             raise _InputError("--backend mock:FILE requires a replay file path")
         try:
             return MockBackend.from_replay_file(rest)
-        except (OSError, UnicodeDecodeError, BackendError) as err:
+        except (OSError, ValueError, RecursionError, BackendError) as err:
             raise _InputError(f"cannot load replay file {rest}: {err}") from err
     if kind == "http":
         if not rest:

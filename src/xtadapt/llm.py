@@ -20,7 +20,7 @@ from enum import Enum
 
 from .conformance import check_conformance
 from .model import Grammar
-from .parsing import ParseDiagnostic, _surely_unparsable, parse_grammar, parse_json, print_grammar
+from .parsing import ParseDiagnostic, _surely_unparsable, parse_grammar, print_grammar
 
 PROMPT_1_TEXT = (
     "The attachment contains two Xtext grammars for the same language: the "
@@ -96,7 +96,7 @@ class MockBackend:
     @classmethod
     def from_replay_file(cls, path: str) -> "MockBackend":
         with open(path, encoding="utf-8") as handle:
-            replies = parse_json(handle.read(), BackendError, "")
+            replies = json.load(handle)
         if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
             raise BackendError(f"replay file {path} must be a JSON array of strings")
         return cls(replies)
@@ -154,7 +154,7 @@ class HttpBackend:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as err:
+        except (urllib.error.URLError, OSError, ValueError, RecursionError) as err:
             raise BackendError(f"backend request failed: {err}") from err
         try:
             return body["choices"][0]["message"]["content"]

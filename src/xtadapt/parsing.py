@@ -13,7 +13,6 @@ and printed text re-parses to a structurally equal grammar.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -646,15 +645,6 @@ def parse_rule_body(body_text: str) -> Expression | list[ParseDiagnostic]:
     if not parser.at_end():
         parser.error(f"trailing input {parser.texts[parser.pos]!r} after body")
     return diagnostics or body
-
-
-def parse_json(text: str, error: type[Exception], prefix: str) -> object:
-    """Decode a JSON document.  Text the decoder rejects, also nesting too
-    deep or a number too long to convert, raises ``error(prefix + reason)``."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as err:
-        raise error(f"{prefix}{err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .model import (
     settle,
     with_children,
 )
-from .parsing import keyword_quote, parse_json, parse_rule_body, printable_keyword, printable_name
+from .parsing import keyword_quote, parse_rule_body, printable_keyword, printable_name
 
 
 class TransformError(Exception):
@@ -746,7 +746,10 @@ def _params_problem(kind: OpKind, params: dict) -> str | None:
 
 def config_from_json(text: str) -> TransformationConfig:
     """Load a config; any malformed document raises TransformError."""
-    doc = parse_json(text, TransformError, "invalid config JSON: ")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise TransformError(f"invalid config JSON: {err}") from err
     if not isinstance(doc, dict) or "entries" not in doc:
         raise TransformError("invalid config JSON: missing 'entries'")
     if not isinstance(doc["entries"], list):

@@ -75,8 +75,11 @@ _DUPLICATE_A = "A: 'a' x=ID; A: 'b' y=ID;\n"
         (_DUPLICATE_A, "A: x=ID;\n",
          "config application broke grammar invariants: duplicate rule name 'A'"),
         ("A: x=ID;\n", _DUPLICATE_A, "extracted config does not replay rule 'A'"),
+        # G1 is checked up front, also when G1' removes the duplicated rule.
+        (_DUPLICATE_A, "B: x=ID;\n",
+         "config application broke grammar invariants: duplicate rule name 'A'"),
     ],
-    ids=["g1", "g1prime"],
+    ids=["g1", "g1prime", "g1-removed"],
 )
 def test_extract_duplicate_rule_names_exit_2(tmp_path, capsys, g1, g1prime, message):
     paths = []
@@ -184,28 +187,22 @@ def test_apply_config_missing_params_exit_2(tmp_path, capsys, entry, fragment):
 
 
 #: JSON the decoder rejects although it is well formed: nesting past the
-#: interpreter's recursion limit, and an integer too long to convert.
-_DEEP_JSON = "[" * 3000 + "]" * 3000
+#: decoder's recursion limit on every supported interpreter (200,000 levels,
+#: as CPython's own json tests use), and an integer too long to convert.
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
 _HUGE_NUMBER_JSON = json.dumps({"entries": [
     {"kind": "REMOVE_KEYWORD", "scope": {"kind": "GRAMMAR"}, "params": {"text": "N"}}
 ]}).replace('"N"', "7" * 5000)
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        (_DEEP_JSON, "invalid config JSON: maximum recursion depth exceeded"),
-        (_HUGE_NUMBER_JSON, "invalid config JSON: Exceeds the limit (4300 digits)"),
-    ],
-    ids=["deep", "huge-number"],
-)
-def test_apply_undecodable_config_exit_2(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("text", [_DEEP_JSON, _HUGE_NUMBER_JSON], ids=["deep", "huge-number"])
+def test_apply_undecodable_config_exit_2(tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
     out = tmp_path / "o.xtext"
     assert main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(message)
+    assert err.startswith("invalid config JSON: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -306,7 +303,7 @@ def test_adapt_undecodable_replay_file_exit_2(tmp_path, capsys):
                  "--backend", f"mock:{replay}", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"cannot load replay file {replay}: maximum recursion depth exceeded")
+    assert err.startswith(f"cannot load replay file {replay}: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
 

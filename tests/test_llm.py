@@ -291,3 +291,21 @@ def test_http_backend_wire_shape(monkeypatch):
     assert captured["payload"]["temperature"] == 0.0
     assert captured["payload"]["messages"] == [{"role": "user", "content": "hello"}]
     assert captured["auth"] == "Bearer sekrit"
+
+
+def test_http_backend_deep_response_is_a_backend_error(monkeypatch):
+    class DeepResponse:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *args):
+            return False
+
+        def read(self):
+            return ("[" * 200_000 + "]" * 200_000).encode("utf-8")
+
+    monkeypatch.setenv("XTADAPT_API_KEY", "sekrit")
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: DeepResponse())
+    backend = HttpBackend("http://example.invalid/v1/chat")
+    with pytest.raises(BackendError, match="^backend request failed: "):
+        backend.complete([{"role": "user", "content": "hello"}])
