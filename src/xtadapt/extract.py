@@ -15,16 +15,14 @@ from dataclasses import dataclass
 from .model import (
     Assignment,
     Cardinality,
+    Expression,
     Grammar,
     Group,
     Keyword,
     ParserRule,
-    RuleCall,
-    children_of,
     grammar_problems,
     is_brace,
     node_at,
-    walk,
 )
 from .parsing import render_body_inline, rule_signature, token_distance
 from .transform import (
@@ -50,87 +48,27 @@ class ExtractionResult:
 
 
 # ---------------------------------------------------------------------------
-# Structural feature/rule context
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _FeatureContext:
-    keyword_before: str | None
-    has_braces: bool
-    cardinality: Cardinality
-    separator: str | None
-    has_repetition: bool
-    terminators: tuple[str, ...]
-    terminal_calls: tuple[str | None, ...]
-    before_braces: bool
-
-
-def _feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> _FeatureContext:
-    paths = index.paths[feature]
-    anchor_node = node_at(rule.body, index.anchors[feature][0])
-
-    first = paths[0]
-    parent = node_at(rule.body, first[:-1]) if first else rule.body
-    siblings = children_of(parent) if first else (rule.body,)
-    idx = first[-1] if first else 0
-
-    keyword_before: str | None = None
-    for j in range(idx - 1, -1, -1):
-        sib = siblings[j]
-        if is_brace(sib):
-            continue
-        if isinstance(sib, Keyword):
-            keyword_before = sib.text
-        break
-    if keyword_before == rule.name:
-        # The rule's own leading keyword, not an attribute keyword.
-        keyword_before = None
-
-    region_nodes = [n for _, n in walk(anchor_node)]
-    has_braces = any(is_brace(n) for n in region_nodes)
-    separator = None
-    has_repetition = False
-    for n in region_nodes:
-        if isinstance(n, Group) and n.cardinality in (Cardinality.STAR, Cardinality.PLUS):
-            has_repetition = True
-            if n.children and isinstance(n.children[0], Keyword):
-                separator = n.children[0].text
-            break
-
-    terminators: list[str] = []
-    if isinstance(anchor_node, Group):
-        kids = anchor_node.children
-        for i, child in enumerate(kids):
-            if isinstance(child, Assignment) and child.feature == feature:
-                nxt = kids[i + 1] if i + 1 < len(kids) else None
-                if isinstance(nxt, Keyword) and not is_brace(nxt):
-                    terminators.append(nxt.text)
-
-    calls: list[str | None] = []
-    for p in paths:
-        a = node_at(rule.body, p)
-        assert isinstance(a, Assignment)
-        calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
-
-    before_braces = True
-    if index.braces is not None and first:
-        before_braces = first[0] < index.braces[0]
-    return _FeatureContext(
-        keyword_before=keyword_before,
-        has_braces=has_braces,
-        cardinality=anchor_node.cardinality,
-        separator=separator,
-        has_repetition=has_repetition,
-        terminators=tuple(terminators),
-        terminal_calls=tuple(calls),
-        before_braces=before_braces,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Candidate generation
 # ---------------------------------------------------------------------------
+
+
+def _before_braces(index: RuleIndex, feature: str) -> bool:
+    """Whether the feature's first assignment comes before the body's brace
+    region (or the body has none)."""
+    first = index.paths[feature][0]
+    return index.braces is None or not first or first[0] < index.braces[0]
+
+
+def _terminators(anchor: Expression, feature: str) -> list[str]:
+    """The non-brace keywords that directly follow the feature's assignments
+    among a group anchor's children."""
+    kids = anchor.children if isinstance(anchor, Group) else ()
+    return [
+        nxt.text
+        for child, nxt in zip(kids, kids[1:])
+        if isinstance(child, Assignment) and child.feature == feature
+        and isinstance(nxt, Keyword) and not is_brace(nxt)
+    ]
 
 
 def _candidates(
@@ -149,48 +87,40 @@ def _candidates(
     for feature in src_index.paths:
         if feature not in dst_index.paths:
             continue
-        sc = _feature_context(src, src_index, feature)
-        dc = _feature_context(dst, dst_index, feature)
         scope = attribute_scope(name, feature)
-        if not sc.before_braces and dc.before_braces and dc.keyword_before is None:
-            add(OpKind.PROMOTE_ATTRIBUTE, scope, {"anchor": "BEFORE_BRACES"})
-        if sc.cardinality is Cardinality.OPTIONAL and dc.cardinality is Cardinality.ONE:
-            add(OpKind.REMOVE_OPTIONALITY, scope)
-        if sc.cardinality is Cardinality.ONE and dc.cardinality is Cardinality.OPTIONAL:
-            add(OpKind.ADD_OPTIONALITY, scope)
-        if sc.has_braces and not dc.has_braces:
-            add(OpKind.REMOVE_BRACES, scope)
-        if sc.keyword_before is not None and dc.keyword_before is None:
-            add(OpKind.REMOVE_KEYWORD, scope, {"text": sc.keyword_before})
+        # Each side's first anchor, and the keyword before its first assignment.
+        s_at, d_at = src_index.anchors[feature][0], dst_index.anchors[feature][0]
+        s_node, d_node = node_at(src.body, s_at), node_at(dst.body, d_at)
+        s_kw, d_kw = src_index.keyword_before[feature], dst_index.keyword_before[feature]
         if (
-            sc.keyword_before is not None
-            and dc.keyword_before is not None
-            and sc.keyword_before != dc.keyword_before
+            not _before_braces(src_index, feature)
+            and _before_braces(dst_index, feature)
+            and d_kw is None
         ):
-            add(
-                OpKind.RENAME_KEYWORD,
-                scope,
-                {"from": sc.keyword_before, "to": dc.keyword_before},
-            )
-        if sc.separator is not None and dc.has_repetition:
-            if dc.separator is None:
-                add(OpKind.CHANGE_SEPARATOR, scope, {"from": sc.separator, "to": None})
-            elif dc.separator != sc.separator:
-                add(
-                    OpKind.CHANGE_SEPARATOR,
-                    scope,
-                    {"from": sc.separator, "to": dc.separator},
-                )
-        for term in dc.terminators:
-            if term not in sc.terminators:
+            add(OpKind.PROMOTE_ATTRIBUTE, scope, {"anchor": "BEFORE_BRACES"})
+        cardinalities = (s_node.cardinality, d_node.cardinality)
+        if cardinalities == (Cardinality.OPTIONAL, Cardinality.ONE):
+            add(OpKind.REMOVE_OPTIONALITY, scope)
+        if cardinalities == (Cardinality.ONE, Cardinality.OPTIONAL):
+            add(OpKind.ADD_OPTIONALITY, scope)
+        if s_at in src_index.braced and d_at not in dst_index.braced:
+            add(OpKind.REMOVE_BRACES, scope)
+        if s_kw is not None and d_kw is None:
+            add(OpKind.REMOVE_KEYWORD, scope, {"text": s_kw})
+        if s_kw is not None and d_kw is not None and s_kw != d_kw:
+            add(OpKind.RENAME_KEYWORD, scope, {"from": s_kw, "to": d_kw})
+        s_sep = src_index.repeats.get(s_at)
+        if s_sep is not None and d_at in dst_index.repeats:
+            d_sep = dst_index.repeats[d_at]  # None drops the separator
+            if d_sep != s_sep:
+                add(OpKind.CHANGE_SEPARATOR, scope, {"from": s_sep, "to": d_sep})
+        s_terminators = _terminators(s_node, feature)
+        for term in _terminators(d_node, feature):
+            if term not in s_terminators:
                 add(OpKind.ADD_TERMINATOR, scope, {"text": term})
-        for src_call, dst_call in zip(sc.terminal_calls, dc.terminal_calls):
-            if src_call and dst_call and src_call != dst_call:
-                add(
-                    OpKind.CHANGE_CALLED_RULE,
-                    scope,
-                    {"from": src_call, "to": dst_call},
-                )
+        for s_call, d_call in zip(src_index.calls[feature], dst_index.calls[feature]):
+            if s_call and d_call and s_call != d_call:
+                add(OpKind.CHANGE_CALLED_RULE, scope, {"from": s_call, "to": d_call})
 
     # Rule-level structure.
     src_brace, dst_brace = src_index.braces, dst_index.braces

@@ -179,52 +179,76 @@ class RuleIndex:
     ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
     the body's ``braces`` region and the ``leading`` keyword, if any.
 
+    Per feature it also holds the keyword right before the first assignment
+    (``keyword_before``: the nearest non-brace sibling, if that is a keyword
+    other than the rule's name, else None) and each assignment's called
+    rule (``calls``, None for a terminal that is no rule call); per anchor,
+    whether its subtree holds a brace keyword (the ``braced`` set) and, if
+    it holds a ``*``/``+`` group, the separator of the first one in
+    pre-order (``repeats``, None for a group without one).
+
     A feature's anchor, per assignment, is the highest enclosing Group all
     of whose assignments target the feature (the repetition/optionality
     wrapper), else the assignment itself.  The body root only qualifies
     without a foreign keyword: ``'Label' '{' ('value' value=X) '}'``
     anchors at the wrapper group, not at the whole body."""
 
-    __slots__ = ("paths", "anchors", "keywords", "separators", "braces", "leading")
+    __slots__ = (
+        "paths", "anchors", "keywords", "separators", "braces", "leading",
+        "keyword_before", "calls", "braced", "repeats",
+    )
 
     def __init__(self, rule: ParserRule):
-        found: list[list] = []  # [feature, path, anchor] per assignment, in pre-order
+        # [feature, path, call, anchor, braced, repeat] per assignment, in pre-order
+        found: list[list] = []
         keywords: list[str] = []
         separators: set[str] = set()
+        keyword_before: dict[str, str | None] = {}
 
-        def visit(node: Expression, path: Path) -> tuple[object, list[int]]:
+        def visit(node: Expression, path: Path, before: str | None):
             """The one feature below ``node`` (None if none, _MIXED if
-            several) and the assignments whose anchor may still rise above
-            ``node``."""
+            several), the assignments whose anchor may still rise above
+            ``node``, whether its subtree holds a brace and its first
+            ``*``/``+`` group; ``before`` is the keyword before ``node``."""
             sole: object = None
+            braced, repeat = False, None
             if isinstance(node, Assignment):
                 sole, own = node.feature, [len(found)]
-                found.append([node.feature, path, path])
+                call = node.terminal.rule_name if isinstance(node.terminal, RuleCall) else None
+                found.append([node.feature, path, call, path, False, None])
+                keyword_before.setdefault(node.feature, before)
                 kids: tuple[Expression, ...] = (node.terminal,)
             elif isinstance(node, Group):
                 kids = node.children
-                if (
-                    node.cardinality in (Cardinality.STAR, Cardinality.PLUS)
-                    and kids
-                    and isinstance(kids[0], Keyword)
-                ):
-                    separators.add(kids[0].text)
+                if node.cardinality in (Cardinality.STAR, Cardinality.PLUS):
+                    repeat = node
+                    if (separator := _separator(node)) is not None:
+                        separators.add(separator)
             else:
                 kids = node.branches
             rising: list[int] = []
+            before = None
             for i, child in enumerate(kids):
+                if is_brace(child):
+                    braced = True
+                    continue  # the keyword before a node skips braces
                 if isinstance(child, Keyword):
-                    if not is_brace(child):
-                        keywords.append(child.text)
+                    keywords.append(child.text)
+                    before = None if child.text == rule.name else child.text
                     continue
-                if not isinstance(child, (Assignment, Group, Alternatives)):
-                    continue  # a leaf holds no assignment
-                child_sole, child_rising = visit(child, path + (i,))
-                if child_sole is not None and child_sole != sole:
-                    sole = child_sole if sole is None else _MIXED
-                rising += child_rising
+                if isinstance(child, (Assignment, Group, Alternatives)):
+                    child_sole, child_rising, child_braced, child_repeat = visit(
+                        child, path + (i,), before
+                    )
+                    if child_sole is not None and child_sole != sole:
+                        sole = child_sole if sole is None else _MIXED
+                    rising += child_rising
+                    braced = braced or child_braced
+                    repeat = repeat or child_repeat
+                before = None  # any other node ends the keyword's reach
             if isinstance(node, Assignment):
-                return sole, own  # what its terminal holds stops there
+                found[own[0]][4:] = braced, repeat
+                return sole, own, braced, repeat  # what its terminal holds stops there
             if (
                 isinstance(node, Group)
                 and rising
@@ -232,24 +256,33 @@ class RuleIndex:
                 and _is_region(node, sole, path == ())
             ):
                 for i in rising:
-                    found[i][2] = path
-                return sole, rising
-            return sole, []
+                    found[i][3:] = path, braced, repeat
+                return sole, rising, braced, repeat
+            return sole, [], braced, repeat
 
         body = rule.body
         if isinstance(body, (Assignment, Group, Alternatives)):
-            visit(body, ())
+            visit(body, (), None)
         elif isinstance(body, Keyword) and not is_brace(body):
             keywords.append(body.text)
         self.paths: dict[str, list[Path]] = {}
         self.anchors: dict[str, list[Path]] = {}
-        for feature, path, anchor in found:
+        self.calls: dict[str, list[str | None]] = {}
+        self.braced: set[Path] = set()
+        self.repeats: dict[Path, str | None] = {}
+        for feature, path, call, anchor, braced, repeat in found:
             self.paths.setdefault(feature, []).append(path)
+            self.calls.setdefault(feature, []).append(call)
             seen = self.anchors.setdefault(feature, [])
             if anchor not in seen:
                 seen.append(anchor)
+                if braced:
+                    self.braced.add(anchor)
+                if repeat is not None:
+                    self.repeats[anchor] = _separator(repeat)
         self.keywords = keywords
         self.separators = separators
+        self.keyword_before = keyword_before
         children = body.children if isinstance(body, Group) else (body,)
         self.braces = _brace_region(children)
         self.leading: str | None = None
@@ -258,6 +291,13 @@ class RuleIndex:
                 self.leading = None if is_brace(child) else child.text
             if isinstance(child, (Keyword, Assignment, Group)):
                 break
+
+
+def _separator(group: Group) -> str | None:
+    """The keyword opening ``group``'s children, if any: a ``*``/``+``
+    group's separator."""
+    kids = group.children
+    return kids[0].text if kids and isinstance(kids[0], Keyword) else None
 
 
 def _is_region(group: Group, feature: str, is_body: bool) -> bool:
@@ -452,9 +492,7 @@ def _apply_change_separator(
         if (
             isinstance(node, Group)
             and node.cardinality in (Cardinality.STAR, Cardinality.PLUS)
-            and node.children
-            and isinstance(node.children[0], Keyword)
-            and node.children[0].text == old
+            and _separator(node) == old
             and inside
         ):
             rest = node.children[1:]

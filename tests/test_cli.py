@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import FIXTURES, grammar_body_tokens, load_grammar, read_fixture
 from xtadapt.cli import main
+from xtadapt.extract import extract_config
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar, print_grammar
+from xtadapt.transform import config_to_json
 
 MISSION_G1 = str(FIXTURES / "mission_generated.xtext")
 MISSION_G1P = str(FIXTURES / "mission_target.xtext")
@@ -436,3 +445,100 @@ def test_check_findings_exit_1(capsys):
 def test_check_unreadable_exit_2(tmp_path, capsys):
     code = main(["check", str(tmp_path / "missing.xtext")])
     assert code == 2
+
+
+# -- fail-closed property ----------------------------------------------------
+
+_PAIRS = [(f"{name}_generated.xtext", f"{name}_target.xtext") for name in ("mission", "port", "label")]
+#: Tokens that a mutation puts in place of a fixture token.
+_TRICKY = ["(", ")", "|", "=", "+=", "?=", "'", '"', "{", "}", "*", "+", "?", "=>", ";", ":",
+           "[", "]", "returns", "enum", "terminal", "grammar", "\\", "\x00", "\u00e9"]
+#: JSON that every decode site must turn into an input error.
+_JSON_BOMBS = [_DEEP_JSON, _HUGE_NUMBER_JSON, '["a", ' + "7" * 5000 + "]", '["a", ' + _DEEP_JSON + "]"]
+
+
+@st.composite
+def _variant(draw, text: str) -> bytes:
+    """``text`` as an input file: intact, raw bytes, non-UTF-8, truncated
+    or with one to three tokens deleted, doubled or replaced."""
+    # Half the files stay intact, so that the later stages see drawn input too.
+    kind = draw(st.sampled_from(["intact"] * 5 + ["raw", "non-utf8", "truncated", "mutated", "mutated"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(text)))
+        return text[:at].encode() + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + text[at:].encode()
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text)))].encode()
+    if kind == "mutated":
+        tokens = re.findall(r"\w+|\s+|[^\w\s]", text)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens[i] = draw(st.sampled_from(["", tokens[i] * 2] + _TRICKY))
+        return "".join(tokens).encode()
+    return text.encode()
+
+
+def _json_input(text: str):
+    """A JSON input file: a ``_variant`` of ``text``, or a JSON bomb."""
+    return _variant(text) | st.sampled_from(_JSON_BOMBS).map(str.encode)
+
+
+@st.composite
+def _invocation(draw) -> tuple[list[str], dict[str, bytes]]:
+    """A subcommand's argv, with paths under ``TMP/``, and the content of
+    each input file there."""
+    generated, target = (read_fixture(name) for name in draw(st.sampled_from(_PAIRS)))
+    command = draw(st.sampled_from(["extract", "apply", "evaluate", "check", "adapt"]))
+    files: dict[str, bytes] = {}
+
+    def slot(name: str, content) -> str:
+        files[name] = draw(content)
+        return f"TMP/{name}"
+
+    def grammar(text: str) -> str:
+        return slot(f"g{len(files)}.xtext", _variant(text))
+
+    def terminals() -> list[str]:
+        return ["--terminals", slot("terminals.txt", _variant("Identifier\nUUID\n"))]
+
+    if command == "extract":
+        argv = ["--g1", grammar(generated), "--g1-prime", grammar(target), "--out-config", "TMP/out.json"]
+    elif command == "apply":
+        g1, g1prime = (parse_grammar(text) for text in (generated, target))
+        config = config_to_json(extract_config(g1, g1prime).config)
+        argv = ["--config", slot("config.json", _json_input(config)), "--g2", grammar(generated),
+                "--out", "TMP/out.xtext"]
+    elif command == "evaluate":
+        argv = ["--g2", grammar(generated), "--candidate", grammar(target), "--target", grammar(target)]
+        argv += terminals() if draw(st.booleans()) else []
+    elif command == "check":
+        argv = [grammar(target)] + (terminals() if draw(st.booleans()) else [])
+    else:
+        # An analysis reply and the four replies a session can ask for.
+        replies = ["ack"] + [draw(_variant(target)).decode(errors="replace") for _ in range(4)]
+        replay = slot("replay.json", _json_input(json.dumps(replies)))
+        argv = ["--g1", grammar(generated), "--g1-prime", grammar(target), "--g2", grammar(generated),
+                "--backend", f"mock:{replay}", "--out", "TMP/run"]
+        argv += ["--target", grammar(target)] if draw(st.booleans()) else []
+    return [command] + argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocation=_invocation())
+def test_drawn_inputs_fail_closed(invocation):
+    """On any drawn input file a subcommand exits with a contract code, no
+    exception escapes ``main``, stderr holds no traceback, and an input
+    error says what it is on its first line."""
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            (Path(tmp) / name).write_bytes(content)
+        argv = [arg.replace("TMP/", f"{tmp}/") for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().splitlines()[0], argv

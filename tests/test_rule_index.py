@@ -2,9 +2,10 @@
 
 ``_ref_paths`` (each feature's paths from ``assignments_of``),
 ``_ref_keyword_texts``, ``_ref_separators``, ``_ref_leading_keyword`` and
-``_ref_braces`` are the extractor's rule facts before the index, and
-``_ref_feature_anchors`` (in ``test_rewrite``) is the anchor walk; they are
-kept as references only.  Dict facts are compared with their key order,
+``_ref_braces`` are the extractor's rule facts before the index,
+``_ref_feature_context`` is its walk of each shared feature's anchor region,
+and ``_ref_feature_anchors`` (in ``test_rewrite``) is the anchor walk; they
+are kept as references only.  Dict facts are compared with their key order,
 which decides the order of the extractor's candidates.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from corpus import assignments_of, random_mutation_pair
 from test_rewrite import _FIXTURE_GRAMMARS, _NODE, _RULE, _ref_feature_anchors
+from xtadapt.extract import _before_braces, _terminators
 from xtadapt.model import (
     Assignment,
     Cardinality,
@@ -24,7 +26,10 @@ from xtadapt.model import (
     Keyword,
     ParserRule,
     Path,
+    RuleCall,
+    children_of,
     is_brace,
+    node_at,
     walk,
 )
 from xtadapt.transform import RuleIndex, _brace_region
@@ -69,6 +74,85 @@ def _ref_braces(rule: ParserRule) -> tuple[int, bool] | None:
     return _brace_region(_body_children(rule))
 
 
+def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> dict:
+    paths = index.paths[feature]
+    anchor_node = node_at(rule.body, index.anchors[feature][0])
+
+    first = paths[0]
+    parent = node_at(rule.body, first[:-1]) if first else rule.body
+    siblings = children_of(parent) if first else (rule.body,)
+    idx = first[-1] if first else 0
+
+    keyword_before: str | None = None
+    for j in range(idx - 1, -1, -1):
+        sib = siblings[j]
+        if is_brace(sib):
+            continue
+        if isinstance(sib, Keyword):
+            keyword_before = sib.text
+        break
+    if keyword_before == rule.name:
+        # The rule's own leading keyword, not an attribute keyword.
+        keyword_before = None
+
+    region_nodes = [n for _, n in walk(anchor_node)]
+    has_braces = any(is_brace(n) for n in region_nodes)
+    separator = None
+    has_repetition = False
+    for n in region_nodes:
+        if isinstance(n, Group) and n.cardinality in (Cardinality.STAR, Cardinality.PLUS):
+            has_repetition = True
+            if n.children and isinstance(n.children[0], Keyword):
+                separator = n.children[0].text
+            break
+
+    terminators: list[str] = []
+    if isinstance(anchor_node, Group):
+        kids = anchor_node.children
+        for i, child in enumerate(kids):
+            if isinstance(child, Assignment) and child.feature == feature:
+                nxt = kids[i + 1] if i + 1 < len(kids) else None
+                if isinstance(nxt, Keyword) and not is_brace(nxt):
+                    terminators.append(nxt.text)
+
+    calls: list[str | None] = []
+    for p in paths:
+        a = node_at(rule.body, p)
+        assert isinstance(a, Assignment)
+        calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
+
+    before_braces = True
+    if index.braces is not None and first:
+        before_braces = first[0] < index.braces[0]
+    return dict(
+        keyword_before=keyword_before,
+        has_braces=has_braces,
+        cardinality=anchor_node.cardinality,
+        separator=separator,
+        has_repetition=has_repetition,
+        terminators=tuple(terminators),
+        terminal_calls=tuple(calls),
+        before_braces=before_braces,
+    )
+
+
+def _feature_facts(rule: ParserRule, index: RuleIndex, feature: str) -> dict:
+    """What ``extract._candidates`` compares of ``feature``, read as it
+    reads it: from the index, and from its first anchor's own children."""
+    anchor = index.anchors[feature][0]
+    node = node_at(rule.body, anchor)
+    return dict(
+        keyword_before=index.keyword_before[feature],
+        has_braces=anchor in index.braced,
+        cardinality=node.cardinality,
+        separator=index.repeats.get(anchor),
+        has_repetition=anchor in index.repeats,
+        terminators=tuple(_terminators(node, feature)),
+        terminal_calls=tuple(index.calls[feature]),
+        before_braces=_before_braces(index, feature),
+    )
+
+
 def _assert_indexed(rule: ParserRule) -> None:
     index = RuleIndex(rule)
     assert list(index.paths.items()) == list(_ref_paths(rule).items()), rule
@@ -77,6 +161,10 @@ def _assert_indexed(rule: ParserRule) -> None:
     assert index.separators == _ref_separators(rule), rule
     assert index.braces == _ref_braces(rule), rule
     assert index.leading == _ref_leading_keyword(rule), rule
+    assert list(index.keyword_before) == list(index.calls) == list(index.paths), rule
+    for feature in index.paths:
+        expected = _ref_feature_context(rule, index, feature)
+        assert _feature_facts(rule, index, feature) == expected, (feature, rule)
 
 
 def test_fixture_rules_index_like_the_reference():
