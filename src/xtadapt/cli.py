@@ -16,6 +16,7 @@ from .conformance import check_conformance, load_terminals_file
 from .evaluate import evaluate, report_table
 from .extract import ExtractionError, extract_config
 from .llm import (
+    DEFAULT_TOKEN_BUDGET,
     BackendError,
     HttpBackend,
     MockBackend,
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument(
         "--token-budget",
         type=int,
-        default=100_000,
+        default=DEFAULT_TOKEN_BUDGET,
         help="prompt size estimate above which the session is flagged",
     )
     p_adapt.set_defaults(func=cmd_adapt)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -143,6 +141,7 @@ class HttpBackend:
                 "temperature": self.temperature,
             }
         ).encode("utf-8")
+        import urllib.request  # here, not at the top: it loads http.client, ssl and email
         request = urllib.request.Request(
             self.endpoint,
             data=payload,
@@ -154,7 +153,7 @@ class HttpBackend:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError, RecursionError) as err:
+        except (OSError, ValueError, RecursionError) as err:  # URLError is an OSError
             raise BackendError(f"backend request failed: {err}") from err
         try:
             return body["choices"][0]["message"]["content"]

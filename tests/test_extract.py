@@ -19,7 +19,14 @@ import xtadapt.transform as transform
 from xtadapt.extract import ExtractionError, extract_config, infer_rule_ops
 from xtadapt.model import Grammar
 from xtadapt.parsing import parse_grammar, print_grammar, rule_signature
-from xtadapt.transform import OpKind, TransformError, apply_config
+from xtadapt.transform import (
+    OpKind,
+    TransformationConfig,
+    TransformError,
+    TransformOp,
+    apply_config,
+    attribute_scope,
+)
 
 
 def test_extract_mission_config():
@@ -121,6 +128,22 @@ def test_round_trip_over_corpus(name, expressible):
         assert result.fallback_count == 0, f"{name} should not need a fallback"
     else:
         assert result.fallback_count > 0
+
+
+def test_round_trip_needs_phase_order():
+    """Optionality goes before the keyword: in the reverse phase order, the
+    keyword's removal leaves the group ``(category=Identifier)`` in Mission."""
+    g1 = load_grammar("mission_generated.xtext")
+    scope = attribute_scope("Mission", "category")
+    ops = (
+        TransformOp(OpKind.REMOVE_OPTIONALITY, scope),
+        TransformOp(OpKind.REMOVE_KEYWORD, scope, {"text": "category"}),
+    )
+    g1prime, _ = apply_config(TransformationConfig(ops), g1)
+    result = extract_config(g1, g1prime)
+    assert result.config.entries == ops
+    adapted, _ = apply_config(result.config, g1)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
 
 
 def test_fallback_count_matches_replace_entries():

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,38 @@ def test_http_backend_deep_response_is_a_backend_error(monkeypatch):
     backend = HttpBackend("http://example.invalid/v1/chat")
     with pytest.raises(BackendError, match="^backend request failed: "):
         backend.complete([{"role": "user", "content": "hello"}])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        urllib.error.URLError("refused"),
+        urllib.error.HTTPError("http://example.invalid/v1/chat", 503, "busy", {}, None),
+        TimeoutError(),
+    ],
+    ids=["url-error", "http-error", "timeout"],
+)
+def test_http_backend_transport_errors_are_backend_errors(monkeypatch, error):
+    def failing_urlopen(request, timeout):
+        raise error
+
+    monkeypatch.setenv("XTADAPT_API_KEY", "sekrit")
+    monkeypatch.setattr("urllib.request.urlopen", failing_urlopen)
+    backend = HttpBackend("http://example.invalid/v1/chat")
+    with pytest.raises(BackendError, match="^backend request failed: "):
+        backend.complete([{"role": "user", "content": "hello"}])
+
+
+def test_importing_the_package_leaves_the_http_stack_unloaded():
+    # A fresh interpreter: this process has loaded the HTTP stack already.
+    # urllib.parse is not checked, because pathlib loads it.
+    src = Path(llm.__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import xtadapt, xtadapt.cli; "
+        "print(' '.join(m for m in ('socket', 'ssl', 'http.client', 'urllib.request', "
+        "'email.message') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == []
