@@ -9,6 +9,7 @@ never count as differences.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -145,56 +146,48 @@ def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
 
 
 def _rule_facts(rule: ParserRule):
-    keywords: list[str] = []
-    features: list[str] = []
-    calls: list[tuple[str, str]] = []
-    crossrefs: list[str] = []
-    operators: list[tuple[str, str]] = []
-    braces = 0
-    cards = 0
+    """Brace and cardinality counts, word and punctuation keyword counts,
+    features in first-assignment order, and the tagged calls,
+    cross-references and operators of the rule's assignments."""
+    words: Counter[str] = Counter()
+    punct: Counter[str] = Counter()
+    typed: Counter[tuple[str, ...]] = Counter()
+    features: dict[str, None] = {}
+    braces = cards = 0
     for _, node in walk(rule.body):
         if is_brace(node):
             braces += 1
         elif isinstance(node, Keyword):
-            keywords.append(node.text)
+            (words if _is_word(node.text) else punct)[node.text] += 1
         elif isinstance(node, Assignment):
-            features.append(node.feature)
-            operators.append((node.feature, node.operator))
-            if isinstance(node.terminal, RuleCall):
-                calls.append((node.feature, node.terminal.rule_name))
-            elif isinstance(node.terminal, CrossReference):
-                crossrefs.append(
-                    f"{node.feature}:[{node.terminal.type_name}|{node.terminal.terminal_name}]"
-                )
+            features.setdefault(node.feature)
+            typed["operator", node.feature, node.operator] += 1
+            ref = node.terminal
+            if isinstance(ref, RuleCall):
+                typed["call", node.feature, ref.rule_name] += 1
+            elif isinstance(ref, CrossReference):
+                typed["xref", f"{node.feature}:[{ref.type_name}|{ref.terminal_name}]"] += 1
         if node.cardinality.value:
             cards += 1
-    return keywords, features, calls, crossrefs, operators, braces, cards
+    return braces, cards, words, punct, list(features), typed
 
 
 def _signature_scan(a: ParserRule, b: ParserRule) -> set[AdaptationType]:
     """Adaptation types whose token signature appears in the diff of a pair
     that the operation catalog cannot express."""
-    kw_a, feat_a, calls_a, xref_a, ops_a, braces_a, cards_a = _rule_facts(a)
-    kw_b, feat_b, calls_b, xref_b, ops_b, braces_b, cards_b = _rule_facts(b)
+    braces_a, cards_a, words_a, punct_a, feat_a, typed_a = _rule_facts(a)
+    braces_b, cards_b, words_b, punct_b, feat_b, typed_b = _rule_facts(b)
     types: set[AdaptationType] = set()
     if braces_a != braces_b or cards_a != cards_b:
         types.add(AdaptationType.BRACE_OPTIONALITY_REMOVAL)
-    removed_words = [t for t in kw_a if _is_word(t) and kw_a.count(t) > kw_b.count(t)]
-    added_words = [t for t in kw_b if _is_word(t) and kw_b.count(t) > kw_a.count(t)]
-    if removed_words or added_words:
+    if words_a != words_b:
         types.add(AdaptationType.KEYWORD_REMOVAL)
-    removed_punct = [t for t in kw_a if not _is_word(t) and kw_a.count(t) > kw_b.count(t)]
-    added_punct = [t for t in kw_b if not _is_word(t) and kw_b.count(t) > kw_a.count(t)]
-    if removed_punct or added_punct:
+    if punct_a != punct_b:
         types.add(AdaptationType.SEPARATOR_MODIFICATION)
-    ordered_a = list(dict.fromkeys(feat_a))
-    ordered_b = list(dict.fromkeys(feat_b))
-    shared = [f for f in ordered_a if f in ordered_b]
-    if [f for f in ordered_b if f in shared] != shared:
+    shared = [f for f in feat_a if f in feat_b]
+    if [f for f in feat_b if f in shared] != shared:
         types.add(AdaptationType.ATTRIBUTE_PROMOTION)
-    if sorted(calls_a) != sorted(calls_b) or sorted(xref_a) != sorted(xref_b):
-        types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
-    if sorted(ops_a) != sorted(ops_b):
+    if typed_a != typed_b:
         types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
     return types
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
 
 from .model import (
     ASSIGN_OPERATORS,
@@ -77,63 +76,15 @@ class TokenizeError(ValueError):
 _IDENT, _STRING, _PUNCT, _END = "ident", "string", "punct", "end"
 _OPEN_STRING, _OPEN_COMMENT = "unterminated string literal", "unterminated comment"
 
-
-def _numerals() -> tuple[str, str]:
-    """Regex class bodies of the word characters that are neither letters
-    nor decimal digits: those ``str.isdigit`` accepts (``²``, ``①``), and
-    the others (``½``, ``Ⅰ``).
-
-    ``\\w`` is ``isalnum() or _`` and ``\\d`` is ``isdecimal()``, so these
-    two sets are what separate ``[^\\W\\d]`` from ``isalpha() or _`` and
-    ``\\d`` from ``isdigit()``.  They come from the running Python's Unicode
-    tables: the word characters of each plane, less ``\\d`` and ``_``, are
-    bisected with ``str.isalpha``.  No code point past U+3FFFF is a word
-    character.
-    """
-    found: list[str] = []
-    block = bytearray(0x4000)  # 0x1000 code points from `start`, in UTF-32-LE
-    block[0::4] = bytes(range(256)) * 16
-    for start in range(0, 0x40000, 0x1000):
-        block[1::4] = b"".join(bytes(((start >> 8) + k & 0xFF,)) * 256 for k in range(16))
-        block[2::4] = bytes((start >> 16,)) * 0x1000
-        text = block.decode("utf-32-le", "surrogatepass")
-        pending = [re.sub(r"[\W\d_]+", "", text)]
-        while pending:
-            chars = pending.pop()
-            if not chars or chars.isalpha():
-                continue
-            if len(chars) == 1:
-                found.append(chars)
-            else:  # bisect, the first half popped first
-                half = len(chars) // 2
-                pending += (chars[half:], chars[:half])
-    return _ranges(c for c in found if c.isdigit()), _ranges(c for c in found if not c.isdigit())
-
-
-def _ranges(chars: Iterable[str]) -> str:
-    """Regex class body of ``chars``, given in code point order."""
-    runs: list[list[str]] = []
-    for c in chars:
-        if runs and ord(c) == ord(runs[-1][1]) + 1:
-            runs[-1][1] = c
-        else:
-            runs.append([c, c])
-    return "".join(first if first == last else f"{first}-{last}" for first, last in runs)
-
-
-_DIGIT_NUMERALS, _OTHER_NUMERALS = _numerals()
-
 #: One token per match, in the one group, after any whitespace and comments.
-#: Identifiers start on ``isalpha() or _`` and go on over ``isalnum() or _``;
-#: digit-led tokens start on ``isdigit()`` and go on over ``isalnum()``,
-#: ``.`` and ``_``; ASCII takes the short branches.  A backslash in a string
-#: escapes any character.  An unterminated string or comment runs to the end
-#: of the text, so only the last token can be one; ``\Z`` matches at the end
-#: with the group empty.
+#: A name starts on a word character that is not a decimal digit and goes on
+#: over word characters; a digit-led token starts on a decimal digit and also
+#: goes on over ``.``.  A backslash in a string escapes any character.  An
+#: unterminated string or comment runs to the end of the text, so only the
+#: last token can be one; ``\Z`` matches at the end with the group empty.
 _TOKEN = re.compile(
-    rf"""(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*
-    ([A-Za-z_]\w*|[0-9][\w.]*|(?=[^\x00-\x7f])
-        (?:[^\W\d{_DIGIT_NUMERALS}{_OTHER_NUMERALS}]\w*|[\d{_DIGIT_NUMERALS}][\w.]*)
+    r"""(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*
+    ([^\W\d]\w*|\d[\w.]*
     |'(?:[^'\\\n]|\\(?s:.))*'|"(?:[^"\\\n]|\\(?s:.))*"
     |['"](?s:.*)|/\*(?s:.*)
     |=>|\+=|\?=|(?s:.)
@@ -148,7 +99,7 @@ _STRING_HEAD = re.compile(
 )
 
 #: Token kind by first character, for ASCII; any other character starts an
-#: identifier if ``isalpha()`` or ``isdigit()``, as ``_TOKEN`` reads it.
+#: identifier if it is a word character (``isalnum()``), as ``_TOKEN`` reads it.
 _ASCII_KINDS = {
     c: _STRING if c in "'\"" else _IDENT if c.isalnum() or c == "_" else _PUNCT
     for c in map(chr, range(128))
@@ -215,9 +166,7 @@ def _lex(text: str, first_line: int = 1) -> list[str]:
 def _kinds(texts: list[str]) -> list[str]:
     """The kind of each token, from its first character."""
     kind_of = _ASCII_KINDS.get
-    return [
-        kind_of(t[0]) or (_IDENT if t[0].isalpha() or t[0].isdigit() else _PUNCT) for t in texts
-    ]
+    return [kind_of(t[0]) or (_IDENT if t[0].isalnum() else _PUNCT) for t in texts]
 
 
 def token_distance(a: list[str], b: list[str]) -> int:

@@ -352,7 +352,11 @@ def test_adapt_missing_credential_exit_4(tmp_path, terminals_file, capsys, monke
         ]
     )
     assert code == 4
-    assert "XTADAPT_API_KEY" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "backend error: credential environment variable XTADAPT_API_KEY is not set\n"
+    )
+    transcript = json.loads((tmp_path / "run" / "transcript.json").read_text(encoding="utf-8"))
+    assert transcript["outcome"] == "ERROR"
 
 
 def test_adapt_outputs_reproducible(tmp_path, terminals_file):
@@ -440,6 +444,14 @@ def test_check_findings_exit_1(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out.count("EMPTY_CROSSREF_TYPE") == 1
+
+
+def test_check_reads_a_numeral_as_a_name(tmp_path, capsys):
+    """``½`` is a word character, so it lexes as a name and the call to it is unresolved."""
+    grammar = tmp_path / "half.xtext"
+    grammar.write_text("A: \u00bd;\n", encoding="utf-8")
+    assert main(["check", str(grammar)]) == 1
+    assert "call to undefined rule or terminal '\u00bd'" in capsys.readouterr().out
 
 
 def test_check_unreadable_exit_2(tmp_path, capsys):

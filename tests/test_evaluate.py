@@ -1,19 +1,33 @@
 import importlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import build_trio, load_grammar, load_pair
+from corpus import build_trio, corpus_grammars, load_grammar, load_pair, random_mutation_pair
 from xtadapt.evaluate import (
     AdaptationType,
     RuleStatus,
     _pair_types,
     _required_rules,
+    _signature_scan,
     _Signatures,
     evaluate,
     format_percent,
     report_table,
 )
+from xtadapt.model import (
+    Assignment,
+    CrossReference,
+    Keyword,
+    ParserRule,
+    RuleCall,
+    is_brace,
+    walk,
+)
 from xtadapt.parsing import parse_grammar
+from xtadapt.transform import _is_word
 
 #: The module, which the package's `evaluate` function shadows.
 evaluate_module = importlib.import_module("xtadapt.evaluate")
@@ -201,6 +215,90 @@ def test_classify_fallback_pair_uses_signature_scan():
     assert AdaptationType.KEYWORD_REMOVAL in per_type
     for counts in per_type.values():
         assert counts.incorrect == 0
+
+
+def _ref_rule_facts(rule):
+    keywords, features, calls, crossrefs, operators = [], [], [], [], []
+    braces = 0
+    cards = 0
+    for _, node in walk(rule.body):
+        if is_brace(node):
+            braces += 1
+        elif isinstance(node, Keyword):
+            keywords.append(node.text)
+        elif isinstance(node, Assignment):
+            features.append(node.feature)
+            operators.append((node.feature, node.operator))
+            if isinstance(node.terminal, RuleCall):
+                calls.append((node.feature, node.terminal.rule_name))
+            elif isinstance(node.terminal, CrossReference):
+                crossrefs.append(
+                    f"{node.feature}:[{node.terminal.type_name}|{node.terminal.terminal_name}]"
+                )
+        if node.cardinality.value:
+            cards += 1
+    return keywords, features, calls, crossrefs, operators, braces, cards
+
+
+def _ref_signature_scan(a, b):
+    """The scan as first written, with a list count per keyword: the
+    reference that the multiset comparison is held to."""
+    kw_a, feat_a, calls_a, xref_a, ops_a, braces_a, cards_a = _ref_rule_facts(a)
+    kw_b, feat_b, calls_b, xref_b, ops_b, braces_b, cards_b = _ref_rule_facts(b)
+    types = set()
+    if braces_a != braces_b or cards_a != cards_b:
+        types.add(AdaptationType.BRACE_OPTIONALITY_REMOVAL)
+    removed_words = [t for t in kw_a if _is_word(t) and kw_a.count(t) > kw_b.count(t)]
+    added_words = [t for t in kw_b if _is_word(t) and kw_b.count(t) > kw_a.count(t)]
+    if removed_words or added_words:
+        types.add(AdaptationType.KEYWORD_REMOVAL)
+    removed_punct = [t for t in kw_a if not _is_word(t) and kw_a.count(t) > kw_b.count(t)]
+    added_punct = [t for t in kw_b if not _is_word(t) and kw_b.count(t) > kw_a.count(t)]
+    if removed_punct or added_punct:
+        types.add(AdaptationType.SEPARATOR_MODIFICATION)
+    ordered_a = list(dict.fromkeys(feat_a))
+    ordered_b = list(dict.fromkeys(feat_b))
+    shared = [f for f in ordered_a if f in ordered_b]
+    if [f for f in ordered_b if f in shared] != shared:
+        types.add(AdaptationType.ATTRIBUTE_PROMOTION)
+    if sorted(calls_a) != sorted(calls_b) or sorted(xref_a) != sorted(xref_b):
+        types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
+    if sorted(ops_a) != sorted(ops_b):
+        types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
+    return types
+
+
+_FIXTURE_GRAMMARS = [grammar for _, grammar in corpus_grammars()]
+_FIXTURE_RULES = [rule for grammar in _FIXTURE_GRAMMARS for rule in grammar.rules]
+
+
+def _empty_shell(rule):
+    """What `_pair_types` scans a rule against when the other side lacks it."""
+    return ParserRule(rule.name, None, RuleCall(rule_name=rule.name))
+
+
+def test_signature_scan_matches_the_reference_on_fixture_rule_pairs():
+    rules = _FIXTURE_RULES + [_empty_shell(rule) for rule in _FIXTURE_RULES]
+    for a in rules:
+        for b in rules:
+            assert _signature_scan(a, b) == _ref_signature_scan(a, b), (a.name, b.name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(_FIXTURE_GRAMMARS),
+    seed=st.integers(0, 10**6),
+    other=st.sampled_from(_FIXTURE_RULES),
+)
+def test_signature_scan_matches_the_reference_on_mutants(base, seed, other):
+    mutation = random_mutation_pair(base, random.Random(seed))
+    mutant = {r.name: r for r in (base if mutation is None else mutation[0]).rules}
+    for rule in base.rules:
+        changed = mutant.get(rule.name, rule)
+        pairs = [(rule, changed), (changed, rule), (changed, other), (other, changed)]
+        pairs += [(changed, _empty_shell(changed)), (_empty_shell(changed), changed)]
+        for a, b in pairs:
+            assert _signature_scan(a, b) == _ref_signature_scan(a, b), (a, b)
 
 
 def test_classify_perfect_candidate_never_incorrect():

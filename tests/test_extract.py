@@ -175,6 +175,35 @@ def test_search_falls_back_when_phase_order_disagrees_with_acceptance_order():
     assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
 
 
+def test_search_returns_its_ops_in_phase_order_when_their_replay_agrees(monkeypatch):
+    """ADD_OPTIONALITY lowers the distance only once the braces and the
+    keyword are gone, so the greedy loop accepts it in its second pass, after
+    ops of later phases; the phase-order replay reproduces G1', so the search
+    returns the ops in phase order."""
+    tries = []
+    spec = transform.CATALOG[OpKind.ADD_OPTIONALITY]
+
+    def counted(*args, applier=spec.apply):
+        tries.append(args[1])
+        return applier(*args)
+
+    monkeypatch.setitem(transform.CATALOG, OpKind.ADD_OPTIONALITY, replace(spec, apply=counted))
+    g1 = parse_grammar("Label returns Label: 'Label' '{' ('value' value=String0) '}';")
+    g1prime = parse_grammar("Label returns Label: 'Label' (value=String0)?;")
+    result = extract_config(g1, g1prime)
+    assert [op.describe() for op in result.config.entries] == [
+        "ADD_OPTIONALITY() @ attribute Label.value",
+        "REMOVE_BRACES() @ rule Label",
+        "REMOVE_KEYWORD(text='value') @ attribute Label.value",
+    ]
+    assert result.fallback_count == 0
+    # Tried and turned down in the first pass, accepted in the second, and
+    # applied once more by the replay.
+    assert len(tries) == 3
+    adapted, _ = apply_config(result.config, g1)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
+
+
 def test_fallback_body_that_does_not_parse_raises(monkeypatch):
     monkeypatch.setattr(extract, "render_body_inline", lambda body: "name=ID (")
     left = parse_grammar("A returns A: name=ID;")

@@ -98,7 +98,7 @@ def _ref_lex(text: str, first_line: int = 1) -> list[tuple[str, str, SourceSpan]
             i += 2
             col += 2
             continue
-        if ch.isalpha() or ch == "_":
+        if (ch.isalnum() or ch == "_") and not ch.isdecimal():
             l0, c0 = line, col
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -107,7 +107,7 @@ def _ref_lex(text: str, first_line: int = 1) -> list[tuple[str, str, SourceSpan]
             tokens.append((text[i:j], "ident", SourceSpan(l0, c0, line, col - 1)))
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             l0, c0 = line, col
             j = i
             while j < n and (text[j].isalnum() or text[j] in "._"):
@@ -184,15 +184,18 @@ def test_identifier_and_digit_rules_follow_str_methods_over_all_of_unicode():
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     word_chars = re.findall(r"\w", everything)
     assert word_chars == [c for c in everything if c.isalnum() or c == "_"]
-    assert ord(word_chars[-1]) < 0x40000  # the planes the lexer's numeral scan covers
+    assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
     tokens = _lex(" ".join(word_chars))
     assert tokens == word_chars
-    assert _kinds(tokens) == [
-        "ident" if c.isalpha() or c == "_" or c.isdigit() else "punct" for c in word_chars
-    ]
-    # A digit-led token goes on over '.', an identifier does not.
-    starts = [c for c in word_chars if c.isalpha() or c == "_" or c.isdigit()]
-    tokens = _lex(" ".join(c + "." + c for c in starts))
+    assert _kinds(tokens) == ["ident"] * len(word_chars)
+    # A digit-led token goes on over '.', a name does not.
+    tokens = _lex(" ".join(c + "." + c for c in word_chars))
     assert tokens == [
-        part for c in starts for part in ((c + "." + c,) if c.isdigit() else (c, ".", c))
+        part for c in word_chars for part in ((c + "." + c,) if c.isdecimal() else (c, ".", c))
     ]
+
+
+def test_numerals_that_are_not_decimal_digits_start_names():
+    tokens = _lex("½x ².5 Ⅻ ٣.5")
+    assert tokens == ["½x", "²", ".", "5", "Ⅻ", "٣.5"]
+    assert _kinds(tokens) == ["ident", "ident", "punct", "ident", "ident", "ident"]

@@ -331,7 +331,8 @@ def test_enum_and_returns_readings_round_trip(rule):
 
 
 def test_names_the_parser_reads_print_and_reparse():
-    """Unicode, digit-led and qualified names print as the lexer reads them."""
+    """Unicode, numeral-led, digit-led and qualified names print as the lexer
+    reads them."""
     body = Group(
         children=(
             Keyword(text="k"),
@@ -339,11 +340,12 @@ def test_names_the_parser_reads_print_and_reparse():
             Assignment(feature="x", operator="+=", terminal=CrossReference(type_name="a.1.b", terminal_name="é")),
             ActionAnnotation(type_name="Ü"),
             RuleCall(rule_name="p::é"),
+            Assignment(feature="½x", terminal=RuleCall(rule_name="Ⅻ")),
         )
     )
     rule = ParserRule("é", "ecore::Ü", body)
     printed = print_rule(rule)
-    assert printed == "é returns ecore::Ü:\n    'k' ñ=1.5\n    x+=[a.1.b|é]\n    {Ü}\n    p::é;"
+    assert printed == "é returns ecore::Ü:\n    'k' ñ=1.5\n    x+=[a.1.b|é]\n    {Ü}\n    p::é\n    ½x=Ⅻ;"
     assert parse_grammar(printed) == Grammar(rules=(rule,))
     assert rule_signature(rule) == normalized_tokens(printed)
 
@@ -375,7 +377,7 @@ def test_keyword_prints_in_the_other_quote_only_when_its_own_does_not_fit(keywor
         ParserRule("R", None, RuleCall(rule_name="x y")),
         ParserRule("R", None, RuleCall(rule_name="")),
         ParserRule("R", None, RuleCall(rule_name="a::")),
-        ParserRule("R", None, RuleCall(rule_name="Ⅻ")),
+        ParserRule("R", None, RuleCall(rule_name="¬")),
         ParserRule("R", None, Assignment(feature="p::T")),
         ParserRule("R", None, Assignment(feature="x", operator=":=")),
         ParserRule("R", None, ActionAnnotation(type_name="a.b")),
