@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .conformance import check_conformance, load_terminals_file
 from .evaluate import evaluate, report_table
@@ -65,6 +67,20 @@ def _load_terminals(path: str | None) -> frozenset[str]:
         raise _InputError(f"cannot read terminals file {path}: {err}") from err
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Report an OSError raised while writing ``path`` as an input error."""
+    try:
+        yield
+    except OSError as err:
+        raise _InputError(f"cannot write {path}: {err}") from err
+
+
+def _write(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text, encoding="utf-8")
+
+
 def _make_backend(spec: str, model: str, credential_env: str):
     kind, _, rest = spec.partition(":")
     if kind == "mock":
@@ -90,7 +106,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     g1 = _load_grammar(args.g1)
     g1prime = _load_grammar(args.g1_prime)
     result = extract_config(g1, g1prime)
-    Path(args.out_config).write_text(config_to_json(result.config), encoding="utf-8")
+    _write(Path(args.out_config), config_to_json(result.config))
     entries = len(result.config.entries)
     if result.config.is_identity:
         print("identity config: 0 operations")
@@ -107,7 +123,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
         raise _InputError(f"cannot read config {args.config}: {err}") from err
     grammar = _load_grammar(args.g2)
     adapted, report = apply_config(config, grammar)
-    Path(args.out).write_text(print_grammar(adapted), encoding="utf-8")
+    _write(Path(args.out), print_grammar(adapted))
     for warning in report.warnings:
         print(warning, file=sys.stderr)
     return EXIT_OK
@@ -120,6 +136,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     target = _load_grammar(args.target) if args.target else None
     terminals = _load_terminals(args.terminals)
     backend = _make_backend(args.backend, args.model, args.credential_env)
+    out_dir = Path(args.out)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     session = run_adaptation(
         g1,
         g1prime,
@@ -128,19 +147,15 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         known_terminals=terminals,
         token_budget=args.token_budget,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_transcript(session, str(out_dir / "transcript.json"))
+    transcript = out_dir / "transcript.json"
+    with _writing(transcript):
+        save_transcript(session, str(transcript))
     if session.extracted_grammar is not None:
-        (out_dir / "g2prime.xtext").write_text(
-            print_grammar(session.extracted_grammar), encoding="utf-8"
-        )
+        _write(out_dir / "g2prime.xtext", print_grammar(session.extracted_grammar))
         if target is not None:
             # The session accepted this grammar only with no conformance findings.
             report = evaluate(g2, session.extracted_grammar, target)
-            (out_dir / "report.json").write_text(
-                json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-            )
+            _write(out_dir / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
             print(report_table(report), end="")
     if session.truncation_risk:
         print("warning: prompt size exceeds token budget (TRUNCATION_RISK)", file=sys.stderr)
@@ -169,7 +184,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out = Path(args.out)
         if out.is_dir():
             out = out / "report.json"
-        out.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        _write(out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
 

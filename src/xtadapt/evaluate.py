@@ -37,21 +37,21 @@ class RuleStatus(Enum):
     EXTRA_IN_CANDIDATE = "EXTRA_IN_CANDIDATE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleComparison:
     rule_name: str
     status: RuleStatus
     token_distance: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeCounts:
     occurrences: int = 0
     correct: int = 0
     incorrect: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationReport:
     n_total: int
     n_correct: int

@@ -41,7 +41,7 @@ class ExtractionError(Exception):
     """Internal consistency failure: the extracted config did not replay."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionResult:
     config: TransformationConfig
     fallback_count: int

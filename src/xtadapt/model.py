@@ -1,9 +1,9 @@
 """Immutable structural model of the Xtext subset this toolkit rewrites.
 
 The model keeps no whitespace and no comments, so structural equality of two
-grammars is whitespace-independent by construction.  Every node is a frozen
-dataclass; rewrites build new trees and never mutate, which makes grammars
-safe to share across threads.
+grammars is whitespace-independent by construction.  Every node is a slotted
+frozen dataclass; rewrites build new trees and never mutate, which makes
+grammars safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class Cardinality(Enum):
     PLUS = "+"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expression:
     """Base of the closed expression variant set.
 
@@ -41,7 +41,7 @@ class Expression:
         return self.cardinality is Cardinality.ONE and not self.predicated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyword(Expression):
     """A quoted literal such as ``'Mission'`` or ``","``.
 
@@ -53,12 +53,12 @@ class Keyword(Expression):
     quote: str = "'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleCall(Expression):
     rule_name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossReference(Expression):
     """``[Type|Terminal]`` reference to an existing model element.
 
@@ -71,14 +71,14 @@ class CrossReference(Expression):
     terminal_name: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionAnnotation(Expression):
     """The ``{Port}`` instantiation marker."""
 
     type_name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment(Expression):
     """``feature=X``, ``feature+=X`` or ``feature?='kw'``."""
 
@@ -87,7 +87,7 @@ class Assignment(Expression):
     terminal: Expression = field(default_factory=lambda: RuleCall(rule_name="ID"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group(Expression):
     """Ordered sequence of sub-expressions; parenthesized when nested."""
 
@@ -98,7 +98,7 @@ class Group(Expression):
             object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alternatives(Expression):
     branches: tuple[Expression, ...] = ()
 
@@ -107,13 +107,13 @@ class Alternatives(Expression):
             object.__setattr__(self, "branches", tuple(self.branches))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminalDecl:
     name: str
     body_text: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParserRule:
     """A parser rule; ``enum`` marks an ``enum Name: ...;`` rule."""
 
@@ -123,7 +123,7 @@ class ParserRule:
     enum: bool = field(default=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grammar:
     name: str = ""
     header_text: str = ""

@@ -235,14 +235,18 @@ class _Parser:
 
     Equal keywords and rule calls are built once per parser, in ``leaves``
     keyed by the quoted keyword token or the called name, the suffix and the
-    predicate: nodes are immutable, so sharing them changes no value."""
+    predicate, and equal names are one string: nodes are immutable, so
+    sharing them changes no value."""
 
     def __init__(self, text: str, first_line: int, diagnostics: list[ParseDiagnostic]):
         """Lex ``text``, whose first line is ``first_line``; raises
         TokenizeError."""
         texts = _lex(text, first_line)
-        self.texts = texts + [""] * 3
-        self.kinds = _kinds(texts) + [_END] * 3
+        kinds = _kinds(texts)
+        names: dict[str, str] = {}  # each name's first string in this parse
+        self.texts = [names.setdefault(t, t) if k is _IDENT else t for t, k in zip(texts, kinds)]
+        self.texts += [""] * 3
+        self.kinds = kinds + [_END] * 3
         self.pos = 0
         self.source = _Source(text, first_line)
         self.diagnostics = diagnostics

@@ -69,7 +69,7 @@ class AdaptationType(Enum):
     TYPE_SYSTEM_ADAPTATION = "TYPE_SYSTEM_ADAPTATION"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpSpec:
     """One kind's catalog row: its ``phase`` in the application order, its
     ``adaptation`` type (None for the REPLACE_RULE fallback), its applier
@@ -87,7 +87,7 @@ class OpSpec:
     writes: tuple[str, Callable[[object], bool]] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scope:
     kind: ScopeKind
     rule: str | None = None
@@ -113,7 +113,7 @@ def attribute_scope(rule: str, feature: str) -> Scope:
     return Scope(ScopeKind.ATTRIBUTE, rule=rule, feature=feature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformOp:
     kind: OpKind
     scope: Scope
@@ -127,7 +127,7 @@ class TransformOp:
         return f"{self.kind.value}({params}) @ {self.scope}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformationConfig:
     entries: tuple[TransformOp, ...] = ()
     provenance: str = ""
@@ -140,7 +140,7 @@ class TransformationConfig:
         return not self.entries
 
 
-@dataclass
+@dataclass(slots=True)
 class OpOutcome:
     op: TransformOp
     matched: int
@@ -150,7 +150,7 @@ class OpOutcome:
         return self.matched == 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplyReport:
     outcomes: list[OpOutcome] = field(default_factory=list)
 

@@ -459,6 +459,52 @@ def test_check_unreadable_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+# -- unwritable output paths ------------------------------------------------------
+
+
+def _assert_cannot_write(capsys, code: int, path) -> None:
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_extract_out_config_in_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "config.json"
+    code = main(["extract", "--g1", MISSION_G1, "--g1-prime", MISSION_G1P, "--out-config", str(out)])
+    _assert_cannot_write(capsys, code, out)
+
+
+def test_apply_out_naming_a_directory_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"provenance": "", "entries": []}', encoding="utf-8")
+    code = main(["apply", "--config", str(config), "--g2", MISSION_G1, "--out", str(tmp_path)])
+    _assert_cannot_write(capsys, code, tmp_path)
+
+
+def test_evaluate_out_in_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["evaluate", "--g2", MISSION_G1, "--candidate", MISSION_G1P,
+                 "--target", MISSION_G1P, "--out", str(out)])
+    _assert_cannot_write(capsys, code, out)
+
+
+def test_adapt_out_naming_a_file_exit_2_before_the_session(tmp_path, capsys, monkeypatch):
+    import xtadapt.cli
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("the session ran before the output directory was made")
+
+    monkeypatch.setattr(xtadapt.cli, "run_adaptation", no_session)
+    replay = _write_replay(tmp_path, ["analysis ack", read_fixture("mission_target.xtext")])
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    code = main(["adapt", "--g1", MISSION_G1, "--g1-prime", MISSION_G1P, "--g2", MISSION_G1,
+                 "--backend", f"mock:{replay}", "--out", str(out)])
+    _assert_cannot_write(capsys, code, out)
+
+
 # -- fail-closed property ----------------------------------------------------
 
 _PAIRS = [(f"{name}_generated.xtext", f"{name}_target.xtext") for name in ("mission", "port", "label")]

@@ -1,10 +1,12 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import assignments_of, find_rule, load_grammar
+from corpus import assignments_of, find_rule, load_grammar, load_pair
 from xtadapt.model import (
     Alternatives,
     Assignment,
@@ -21,8 +23,10 @@ from xtadapt.model import (
     node_at,
     walk,
 )
-from xtadapt.parsing import _is_braced_group
-from xtadapt.transform import _brace_region
+from xtadapt.evaluate import evaluate
+from xtadapt.extract import extract_config
+from xtadapt.parsing import _is_braced_group, parse_grammar
+from xtadapt.transform import CATALOG, _brace_region, apply_config
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +269,49 @@ def test_is_braced_is_the_one_braced_group_test():
     assert not is_braced(Group(children=()))
     assert not is_braced(lb)
     assert _brace_region((Keyword(text="k"), braced)) == (1, True)
+
+
+# -- slotted values -------------------------------------------------------------
+
+
+def _slotted(value) -> bool:
+    return not hasattr(value, "__dict__")
+
+
+def test_parsed_grammar_values_have_no_dict(mission):
+    assert _slotted(mission)
+    assert mission.declared_terminals or mission.rules
+    for terminal in mission.declared_terminals:
+        assert _slotted(terminal)
+    for rule in mission.rules:
+        assert _slotted(rule)
+        for _, node in walk(rule.body):
+            assert _slotted(node), type(node).__name__
+
+
+def test_op_and_report_values_have_no_dict():
+    result = extract_config(*load_pair("mission"))
+    g2 = load_grammar("mission_evolved.xtext")
+    _, applied = apply_config(result.config, g2)
+    target = load_grammar("mission_evolved_target.xtext")
+    report = evaluate(g2, target, target)
+    assert result.config.entries and applied.outcomes and report.comparisons and report.per_type
+    values = [result, result.config, applied, report, *CATALOG.values()]
+    values += [v for op in result.config.entries for v in (op, op.scope)]
+    values += applied.outcomes + report.comparisons + list(report.per_type.values())
+    for value in values:
+        assert _slotted(value), type(value).__name__
+
+
+def test_parsed_grammar_survives_pickle_and_deepcopy(mission):
+    assert pickle.loads(pickle.dumps(mission)) == mission
+    assert copy.deepcopy(mission) == mission
+
+
+def test_one_parse_shares_equal_names():
+    """Equal names within one parse are one string; compare nodes by value all the same."""
+    grammar = parse_grammar("A: 'a' name=ID;\nB: 'b' name=STRING;\n")
+    assert isinstance(grammar, Grammar)
+    (_, first), (_, second) = (assignments_of(rule)[0] for rule in grammar.rules)
+    assert first.feature == second.feature == "name"
+    assert first.feature is second.feature
