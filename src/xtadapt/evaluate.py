@@ -16,18 +16,9 @@ from enum import Enum
 
 from .conformance import ConformanceFinding
 from .extract import infer_rule_ops
-from .model import (
-    Assignment,
-    CrossReference,
-    Grammar,
-    Keyword,
-    ParserRule,
-    RuleCall,
-    is_brace,
-    walk,
-)
+from .model import CrossReference, Grammar, ParserRule, RuleCall
 from .parsing import rule_signature, token_distance
-from .transform import CATALOG, AdaptationType, _is_word
+from .transform import CATALOG, AdaptationType, RuleIndex, _is_word
 
 
 class RuleStatus(Enum):
@@ -145,47 +136,39 @@ def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _rule_facts(rule: ParserRule):
-    """Brace and cardinality counts, word and punctuation keyword counts,
-    features in first-assignment order, and the tagged calls,
-    cross-references and operators of the rule's assignments."""
+def _tally(index: RuleIndex):
+    """An indexed rule's brace and cardinality counts, word and punctuation
+    keyword counts, and tagged assignment operators, calls and cross-references."""
     words: Counter[str] = Counter()
     punct: Counter[str] = Counter()
     typed: Counter[tuple[str, ...]] = Counter()
-    features: dict[str, None] = {}
-    braces = cards = 0
-    for _, node in walk(rule.body):
-        if is_brace(node):
-            braces += 1
-        elif isinstance(node, Keyword):
-            (words if _is_word(node.text) else punct)[node.text] += 1
-        elif isinstance(node, Assignment):
-            features.setdefault(node.feature)
-            typed["operator", node.feature, node.operator] += 1
-            ref = node.terminal
-            if isinstance(ref, RuleCall):
-                typed["call", node.feature, ref.rule_name] += 1
-            elif isinstance(ref, CrossReference):
-                typed["xref", f"{node.feature}:[{ref.type_name}|{ref.terminal_name}]"] += 1
-        if node.cardinality.value:
-            cards += 1
-    return braces, cards, words, punct, list(features), typed
+    for text in index.keywords:
+        (words if _is_word(text) else punct)[text] += 1
+    for node in index.assignments:
+        typed["operator", node.feature, node.operator] += 1
+        ref = node.terminal
+        if isinstance(ref, RuleCall):
+            typed["call", node.feature, ref.rule_name] += 1
+        elif isinstance(ref, CrossReference):
+            typed["xref", f"{node.feature}:[{ref.type_name}|{ref.terminal_name}]"] += 1
+    return (index.brace_count, index.cardinality_count), words, punct, typed
 
 
 def _signature_scan(a: ParserRule, b: ParserRule) -> set[AdaptationType]:
     """Adaptation types whose token signature appears in the diff of a pair
-    that the operation catalog cannot express."""
-    braces_a, cards_a, words_a, punct_a, feat_a, typed_a = _rule_facts(a)
-    braces_b, cards_b, words_b, punct_b, feat_b, typed_b = _rule_facts(b)
+    that the operation catalog cannot express, read from the pair's indexes."""
+    index_a, index_b = RuleIndex(a), RuleIndex(b)
+    marks_a, words_a, punct_a, typed_a = _tally(index_a)
+    marks_b, words_b, punct_b, typed_b = _tally(index_b)
     types: set[AdaptationType] = set()
-    if braces_a != braces_b or cards_a != cards_b:
+    if marks_a != marks_b:
         types.add(AdaptationType.BRACE_OPTIONALITY_REMOVAL)
     if words_a != words_b:
         types.add(AdaptationType.KEYWORD_REMOVAL)
     if punct_a != punct_b:
         types.add(AdaptationType.SEPARATOR_MODIFICATION)
-    shared = [f for f in feat_a if f in feat_b]
-    if [f for f in feat_b if f in shared] != shared:
+    shared = [f for f in index_a.paths if f in index_b.paths]
+    if [f for f in index_b.paths if f in shared] != shared:
         types.add(AdaptationType.ATTRIBUTE_PROMOTION)
     if typed_a != typed_b:
         types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)

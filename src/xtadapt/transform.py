@@ -170,14 +170,18 @@ class ApplyReport:
 
 #: Sole-feature marker of a subtree whose assignments target several features.
 _MIXED = object()
+#: Bound once for the index walk, which reads them per node: an Enum member is slow to look up.
+_ONE, _STAR, _PLUS = Cardinality.ONE, Cardinality.STAR, Cardinality.PLUS
 
 
 class RuleIndex:
-    """What scope resolution and the extractor read of one rule state, from
-    one bottom-up walk of its body: each feature's assignment ``paths`` and
-    region ``anchors`` (keyed in order of first assignment), the non-brace
-    ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
-    the body's ``braces`` region and the ``leading`` keyword, if any.
+    """What scope resolution, the extractor and evaluate's signature scan
+    read of one rule state, from one bottom-up walk of its body: each
+    feature's assignment ``paths`` and region ``anchors`` (keyed in order of
+    first assignment), the ``assignments`` and non-brace ``keywords`` in
+    pre-order, the ``brace_count`` of brace keywords and ``cardinality_count``
+    of nodes with a cardinality, the ``separators`` opening ``*``/``+``
+    groups, the body's ``braces`` region and the ``leading`` keyword, if any.
 
     Per feature it also holds the keyword right before the first assignment
     (``keyword_before``: the nearest non-brace sibling, if that is a keyword
@@ -194,16 +198,18 @@ class RuleIndex:
     anchors at the wrapper group, not at the whole body."""
 
     __slots__ = (
-        "paths", "anchors", "keywords", "separators", "braces", "leading",
-        "keyword_before", "calls", "braced", "repeats",
+        "paths", "anchors", "assignments", "keywords", "brace_count", "cardinality_count",
+        "separators", "braces", "leading", "keyword_before", "calls", "braced", "repeats",
     )
 
     def __init__(self, rule: ParserRule):
-        # [feature, path, call, anchor, braced, repeat] per assignment, in pre-order
+        # [assignment, path, call, anchor, braced, repeat] per assignment, in pre-order
         found: list[list] = []
         keywords: list[str] = []
         separators: set[str] = set()
         keyword_before: dict[str, str | None] = {}
+        body = rule.body
+        counts = [0, int(body.cardinality is not _ONE)]  # brace keywords, nodes with a cardinality
 
         def visit(node: Expression, path: Path, before: str | None):
             """The one feature below ``node`` (None if none, _MIXED if
@@ -212,15 +218,16 @@ class RuleIndex:
             ``*``/``+`` group; ``before`` is the keyword before ``node``."""
             sole: object = None
             braced, repeat = False, None
-            if isinstance(node, Assignment):
+            kind = type(node)
+            if kind is Assignment:
                 sole, own = node.feature, [len(found)]
-                call = node.terminal.rule_name if isinstance(node.terminal, RuleCall) else None
-                found.append([node.feature, path, call, path, False, None])
+                call = node.terminal.rule_name if type(node.terminal) is RuleCall else None
+                found.append([node, path, call, path, False, None])
                 keyword_before.setdefault(node.feature, before)
                 kids: tuple[Expression, ...] = (node.terminal,)
-            elif isinstance(node, Group):
+            elif kind is Group:
                 kids = node.children
-                if node.cardinality in (Cardinality.STAR, Cardinality.PLUS):
+                if node.cardinality is _STAR or node.cardinality is _PLUS:
                     repeat = node
                     if (separator := _separator(node)) is not None:
                         separators.add(separator)
@@ -229,14 +236,19 @@ class RuleIndex:
             rising: list[int] = []
             before = None
             for i, child in enumerate(kids):
-                if is_brace(child):
-                    braced = True
-                    continue  # the keyword before a node skips braces
-                if isinstance(child, Keyword):
-                    keywords.append(child.text)
-                    before = None if child.text == rule.name else child.text
+                if child.cardinality is not _ONE:
+                    counts[1] += 1
+                child_kind = type(child)
+                if child_kind is Keyword:
+                    text = child.text
+                    if text == "{" or text == "}":
+                        counts[0] += 1
+                        braced = True
+                        continue  # the keyword before a node skips braces
+                    keywords.append(text)
+                    before = None if text == rule.name else text
                     continue
-                if isinstance(child, (Assignment, Group, Alternatives)):
+                if child_kind is Assignment or child_kind is Group or child_kind is Alternatives:
                     child_sole, child_rising, child_braced, child_repeat = visit(
                         child, path + (i,), before
                     )
@@ -246,11 +258,11 @@ class RuleIndex:
                     braced = braced or child_braced
                     repeat = repeat or child_repeat
                 before = None  # any other node ends the keyword's reach
-            if isinstance(node, Assignment):
+            if kind is Assignment:
                 found[own[0]][4:] = braced, repeat
                 return sole, own, braced, repeat  # what its terminal holds stops there
             if (
-                isinstance(node, Group)
+                kind is Group
                 and rising
                 and sole is not _MIXED
                 and _is_region(node, sole, path == ())
@@ -260,20 +272,23 @@ class RuleIndex:
                 return sole, rising, braced, repeat
             return sole, [], braced, repeat
 
-        body = rule.body
-        if isinstance(body, (Assignment, Group, Alternatives)):
+        kind = type(body)
+        if kind is Assignment or kind is Group or kind is Alternatives:
             visit(body, (), None)
-        elif isinstance(body, Keyword) and not is_brace(body):
+        elif is_brace(body):
+            counts[0] = 1
+        elif kind is Keyword:
             keywords.append(body.text)
         self.paths: dict[str, list[Path]] = {}
         self.anchors: dict[str, list[Path]] = {}
         self.calls: dict[str, list[str | None]] = {}
         self.braced: set[Path] = set()
         self.repeats: dict[Path, str | None] = {}
-        for feature, path, call, anchor, braced, repeat in found:
-            self.paths.setdefault(feature, []).append(path)
-            self.calls.setdefault(feature, []).append(call)
-            seen = self.anchors.setdefault(feature, [])
+        self.assignments: list[Assignment] = [entry[0] for entry in found]
+        for node, path, call, anchor, braced, repeat in found:
+            self.paths.setdefault(node.feature, []).append(path)
+            self.calls.setdefault(node.feature, []).append(call)
+            seen = self.anchors.setdefault(node.feature, [])
             if anchor not in seen:
                 seen.append(anchor)
                 if braced:
@@ -281,9 +296,10 @@ class RuleIndex:
                 if repeat is not None:
                     self.repeats[anchor] = _separator(repeat)
         self.keywords = keywords
+        self.brace_count, self.cardinality_count = counts
         self.separators = separators
         self.keyword_before = keyword_before
-        children = body.children if isinstance(body, Group) else (body,)
+        children = body.children if kind is Group else (body,)
         self.braces = _brace_region(children)
         self.leading: str | None = None
         for child in children:

@@ -1,0 +1,163 @@
+"""Re-runnable mutation check: each mutant in ``MUTANTS`` must be killed.
+
+A row names a file under ``src/xtadapt``, an exact piece of its text, what
+to put in its place and the test ids that must then fail.  For each row the
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, makes the one substitution there and runs the named tests with
+``python -m pytest``; the checkout itself is never modified.  The named
+tests must first pass on an unmodified copy, so a row cannot count a test
+that fails anyway as a kill.
+
+Run it from anywhere, with the test requirements installed::
+
+    python tests/mutation_check.py
+
+It exits 0 when every mutant is killed, and 1 when one survives, when a
+row's old text is not found exactly once in its file, or when the tests do
+not pass on the unmodified copy.  The file name does not start with
+``test_``, so pytest does not collect it.  When a change claims a mutation
+check, add its row here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/xtadapt
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "apply_config applies the phases in reverse order",
+        "transform.py",
+        "key=lambda op: CATALOG[op.kind].phase)",
+        "key=lambda op: -CATALOG[op.kind].phase)",
+        ("tests/test_extract.py::test_round_trip_needs_phase_order",),
+    ),
+    Mutant(
+        "the signature scan ignores the cardinality count",
+        "evaluate.py",
+        "return (index.brace_count, index.cardinality_count), words, punct, typed",
+        "return (index.brace_count,), words, punct, typed",
+        (
+            "tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_fixture_rule_pairs",
+            "tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_drawn_rules",
+        ),
+    ),
+    Mutant(
+        "the signature scan compares keyword sets, not multisets",
+        "evaluate.py",
+        "if words_a != words_b:",
+        "if set(words_a) != set(words_b):",
+        ("tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_drawn_rules",),
+    ),
+    Mutant(
+        "the body root qualifies as a region despite a foreign keyword",
+        "transform.py",
+        "_is_region(node, sole, path == ())",
+        "_is_region(node, sole, False)",
+        ("tests/test_rule_index.py::test_fixture_rules_index_like_the_reference",),
+    ),
+    Mutant(
+        "the index does not count the cardinality of assignment terminals",
+        "transform.py",
+        "if child.cardinality is not _ONE:",
+        "if child.cardinality is not _ONE and kind is not Assignment:",
+        ("tests/test_rule_index.py::test_drawn_rules_index_like_the_reference",),
+    ),
+    Mutant(
+        "the greedy search goes on after reaching distance 0",
+        "extract.py",
+        "break  # no later candidate can lower it",
+        "pass",
+        ("tests/test_extract.py::test_trio_search_indexes_each_rule_state_once",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(workdir: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """The named tests, run in ``workdir`` against its own ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(workdir / "src"), str(workdir / "tests")]))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
+
+
+def _imports_copy(workdir: Path) -> bool:
+    """Whether the tests in ``workdir`` import xtadapt from its copy."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
+    command = [sys.executable, "-c", "import xtadapt; print(xtadapt.__file__)"]
+    out = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True).stdout
+    return Path(out.strip()).resolve().is_relative_to((workdir / "src").resolve())
+
+
+def _tail(result: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((result.stdout + result.stderr).splitlines()[-lines:])
+
+
+def main() -> int:
+    problems: list[str] = []
+    with tempfile.TemporaryDirectory(prefix="xtadapt-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        if not _imports_copy(clean):
+            print("error: the copied tests do not import xtadapt from the copy", file=sys.stderr)
+            return 1
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        baseline = _pytest(clean, every_test)
+        if baseline.returncode != 0:
+            print("error: the named tests fail on an unmodified copy:", file=sys.stderr)
+            print(_tail(baseline), file=sys.stderr)
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            workdir = Path(tmp) / f"mutant{i}"
+            _copy(workdir)
+            target = workdir / "src" / "xtadapt" / mutant.file
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                found = text.count(mutant.old)
+                problems.append(f"{mutant.name}: old text found {found} times in {mutant.file}")
+                print(f"STALE     {mutant.name}")
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            result = _pytest(workdir, mutant.tests)
+            seconds = time.perf_counter() - start
+            shutil.rmtree(workdir)
+            if result.returncode == 1:  # tests ran and failed
+                print(f"killed    {mutant.name} ({seconds:.1f} s)")
+            elif result.returncode == 0:
+                problems.append(f"{mutant.name}: survived {', '.join(mutant.tests)}")
+                print(f"SURVIVED  {mutant.name} ({seconds:.1f} s)")
+            else:
+                problems.append(f"{mutant.name}: pytest exit {result.returncode}\n{_tail(result)}")
+                print(f"ERROR     {mutant.name}: pytest exit {result.returncode}")
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

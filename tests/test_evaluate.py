@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build_trio, corpus_grammars, load_grammar, load_pair, random_mutation_pair
+from test_rewrite import _RULE
 from xtadapt.evaluate import (
     AdaptationType,
     RuleStatus,
@@ -299,6 +300,15 @@ def test_signature_scan_matches_the_reference_on_mutants(base, seed, other):
         pairs += [(changed, _empty_shell(changed)), (_empty_shell(changed), changed)]
         for a, b in pairs:
             assert _signature_scan(a, b) == _ref_signature_scan(a, b), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RULE, b=_RULE)
+def test_signature_scan_matches_the_reference_on_drawn_rules(a, b):
+    """Drawn rules hold shapes the parser never makes: predicated groups,
+    nested alternatives and brace keywords as assignment terminals."""
+    for x, y in [(a, b), (b, a), (a, _empty_shell(a)), (_empty_shell(b), b)]:
+        assert _signature_scan(x, y) == _ref_signature_scan(x, y), (x, y)
 
 
 def test_classify_perfect_candidate_never_incorrect():

@@ -78,7 +78,9 @@ from xtadapt.transform import (
 )
 
 #: Nodes (by identity) and output paths where the reference left a shape
-#: that the walker collapses; filled by the reference as it runs.
+#: that the walker collapses; filled by the reference as it runs.  A node
+#: that shares its children tuple with a pinned one is the pinned node with
+#: its parent's marks moved onto it, and counts as pinned too.
 _PINNED: list = []
 #: Changed alternatives (by identity) that the reference left as plain
 #: single-child groups, which the walker settles.
@@ -472,10 +474,13 @@ def _collapse_pinned(expr: Expression, path: Path, pinned: list) -> Expression |
     branch, or alternative changed here, settled.  A settled branch that the
     reference left alone in its Alternatives took that node's marks, and
     shares its children with it; the walker settles the branch before it
-    moves the marks (``_LIFTED_BRANCH``)."""
-    mark = any(p is expr for p in pinned) or path in pinned
-    settle = any(p is expr for p in _SETTLED)
+    moves the marks (``_LIFTED_BRANCH``).  A pinned node whose non-plain
+    parent the reference collapsed onto it is a marked copy that shares its
+    children, and is collapsed as the node is (``_MARKED_COPY``)."""
     kids = children_of(expr)
+    copied = bool(kids) and any(children_of(p) is kids for p in pinned)
+    mark = copied or any(p is expr for p in pinned) or path in pinned
+    settle = any(p is expr for p in _SETTLED)
     lifted = bool(kids) and not expr.plain and any(children_of(p) is kids for p in _SETTLED)
     if kids:
         rebuilt = [_collapse_pinned(c, path + (i,), pinned) for i, c in enumerate(kids)]
@@ -654,9 +659,19 @@ _LIFTED = Alternatives(branches=(_K, Group(children=(Group(children=(_K, _X, _X)
 _LIFTED_BRANCH = ParserRule("R", None, Group(children=(_K, Group(children=(Keyword(text=","),)), _LIFTED)))
 
 
+#: ``R: => ('k' (('k') (x=A)));``, with the body a plain group around the
+#: predicated one: without ``'k'``, the group ``(('k') (x=A))`` loses its
+#: emptied first child (emptied sibling), and the predicated group, left
+#: with it alone, moves its predicate onto a copy of it.
+_XA = Group(children=(Assignment(feature="x", terminal=RuleCall(rule_name="A")),))
+_SHARED = Group(children=(_K, Group(children=(Group(children=(_K,)), _XA))), predicated=True)
+_MARKED_COPY = ParserRule("R", None, Group(children=(_SHARED,)))
+
+
 @settings(max_examples=1500, deadline=None)
 @given(case=_rule_and_entry())
 @example(case=(_LIFTED_BRANCH, TransformOp(OpKind.REMOVE_KEYWORD, rule_scope("R"), {"text": "k"})))
+@example(case=(_MARKED_COPY, TransformOp(OpKind.REMOVE_KEYWORD, rule_scope("R"), {"text": "k"})))
 def test_drawn_rules_agree_with_the_reference(case):
     _same_as_reference(*case)
 
