@@ -16,9 +16,9 @@ from enum import Enum
 
 from .conformance import ConformanceFinding
 from .extract import infer_rule_ops
-from .model import CrossReference, Grammar, ParserRule, RuleCall
+from .model import ASSIGN_OPERATORS, Grammar, ParserRule
 from .parsing import rule_signature, token_distance
-from .transform import CATALOG, AdaptationType, RuleIndex, _is_word
+from .transform import CATALOG, AdaptationType, _is_word
 
 
 class RuleStatus(Enum):
@@ -136,42 +136,54 @@ def _required_rules(g2: _Signatures, target: _Signatures) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _tally(index: RuleIndex):
-    """An indexed rule's brace and cardinality counts, word and punctuation
-    keyword counts, and tagged assignment operators, calls and cross-references."""
+def _tally(sig: list[str]):
+    """A rule signature's comparison facts, keyed by the adaptation type a
+    change in them shows, and its features in order of first assignment.
+    A bare ``?``/``*``/``+`` is always a mark (``?=`` and ``+=`` are single
+    tokens), and no head token precedes an assignment operator."""
+    braces = cards = 0
     words: Counter[str] = Counter()
     punct: Counter[str] = Counter()
     typed: Counter[tuple[str, ...]] = Counter()
-    for text in index.keywords:
-        (words if _is_word(text) else punct)[text] += 1
-    for node in index.assignments:
-        typed["operator", node.feature, node.operator] += 1
-        ref = node.terminal
-        if isinstance(ref, RuleCall):
-            typed["call", node.feature, ref.rule_name] += 1
-        elif isinstance(ref, CrossReference):
-            typed["xref", f"{node.feature}:[{ref.type_name}|{ref.terminal_name}]"] += 1
-    return (index.brace_count, index.cardinality_count), words, punct, typed
+    features: dict[str, None] = {}
+    for i, token in enumerate(sig):
+        if token == "'{'" or token == "'}'":
+            braces += 1
+        elif token[0] == "'":
+            (words if _is_word(token[1:-1]) else punct)[token] += 1
+        elif token == "?" or token == "*" or token == "+":
+            cards += 1
+        elif token in ASSIGN_OPERATORS:
+            feature, end = sig[i - 1], i + 1
+            features.setdefault(feature)
+            typed["operator", feature, token] += 1
+            if sig[end] == "[":  # a cross-reference, up to its "]"
+                end = sig.index("]", end)
+            elif sig[end][0] != "'":  # a rule call, over each "." or "::" (two tokens) joint
+                while sig[end + 1] in (".", ":"):
+                    end += 3 if sig[end + 1] == ":" else 2
+            else:
+                continue  # a keyword terminal is tagged by nothing but its operator
+            typed[(feature, *sig[i + 1 : end + 1])] += 1
+    facts = {
+        AdaptationType.BRACE_OPTIONALITY_REMOVAL: (braces, cards),
+        AdaptationType.KEYWORD_REMOVAL: words,
+        AdaptationType.SEPARATOR_MODIFICATION: punct,
+        AdaptationType.TYPE_SYSTEM_ADAPTATION: typed,
+    }
+    return facts, features
 
 
-def _signature_scan(a: ParserRule, b: ParserRule) -> set[AdaptationType]:
+def _signature_scan(sig_a: list[str], sig_b: list[str]) -> set[AdaptationType]:
     """Adaptation types whose token signature appears in the diff of a pair
-    that the operation catalog cannot express, read from the pair's indexes."""
-    index_a, index_b = RuleIndex(a), RuleIndex(b)
-    marks_a, words_a, punct_a, typed_a = _tally(index_a)
-    marks_b, words_b, punct_b, typed_b = _tally(index_b)
-    types: set[AdaptationType] = set()
-    if marks_a != marks_b:
-        types.add(AdaptationType.BRACE_OPTIONALITY_REMOVAL)
-    if words_a != words_b:
-        types.add(AdaptationType.KEYWORD_REMOVAL)
-    if punct_a != punct_b:
-        types.add(AdaptationType.SEPARATOR_MODIFICATION)
-    shared = [f for f in index_a.paths if f in index_b.paths]
-    if [f for f in index_b.paths if f in shared] != shared:
+    that the operation catalog cannot express, tallied from the two rules'
+    signatures (``[]`` for a missing rule)."""
+    facts_a, features_a = _tally(sig_a)
+    facts_b, features_b = _tally(sig_b)
+    types = {t for t, fact in facts_a.items() if fact != facts_b[t]}
+    shared = [f for f in features_a if f in features_b]
+    if [f for f in features_b if f in shared] != shared:
         types.add(AdaptationType.ATTRIBUTE_PROMOTION)
-    if typed_a != typed_b:
-        types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
     return types
 
 
@@ -184,15 +196,12 @@ def _pair_types(
     """Adaptation types needed to turn src into dst, given their signatures
     (absence = everything the other side's signature shows)."""
     if src is None or dst is None:
-        present = src if src is not None else dst
-        assert present is not None
-        empty_shell = ParserRule(present.name, None, RuleCall(rule_name=present.name))
-        return _signature_scan(present, empty_shell)
+        return _signature_scan(src_sig or dst_sig, [])  # a missing rule tallies as []
     if src_sig == dst_sig:
         return set()
     ops, fell_back = infer_rule_ops(src, dst, src_sig, dst_sig)
     if fell_back:
-        return _signature_scan(src, dst)
+        return _signature_scan(src_sig, dst_sig)
     return {CATALOG[op.kind].adaptation for op in ops}  # no REPLACE_RULE without a fallback
 
 
@@ -213,12 +222,10 @@ def _classify(
         if not needed:
             continue
         cand_rule, cand_sig = cand.rule_by_name.get(name), cand.by_name.get(name)
-        if cand_rule is not None and tgt is not None and cand_sig == tgt_sig:
-            residual: set[AdaptationType] = set()
-        elif tgt is None:
-            residual = needed if cand_rule is not None else set()
-        elif cand_rule is None or (cand_sig == g2_sig and cand_rule == g2_rule):
-            residual = needed  # left unadapted: the search that gave `needed`
+        if cand_sig == tgt_sig:
+            residual: set[AdaptationType] = set()  # realized, or both lack the rule
+        elif cand_rule is None or tgt is None or (cand_sig == g2_sig and cand_rule == g2_rule):
+            residual = needed  # one side lacks it, or it is as in G2: its search gave `needed`
         else:
             residual = _pair_types(cand_rule, tgt, cand_sig, tgt_sig)
         for adaptation_type in needed:

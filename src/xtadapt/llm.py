@@ -241,14 +241,14 @@ def run_adaptation(
     it, and ERROR on backend transport failure (transcript preserved).
     """
     session = AdaptationSession(dsl_name=dsl_name or (g2.name or g1.name or "dsl"))
-    messages: list[dict[str, str]] = []
 
     def send(text: str) -> str:
         session.turns.append(Turn("user", text))
-        messages.append({"role": "user", "content": text})
-        reply = backend.complete(list(messages))
+        reply = backend.complete([
+            {"role": "assistant" if t.role == "model" else t.role, "content": t.text}
+            for t in session.turns
+        ])
         session.turns.append(Turn("model", reply))
-        messages.append({"role": "assistant", "content": reply})
         return reply
 
     prompt_1 = render_prompt_1(print_grammar(g1), print_grammar(g1prime))

@@ -170,18 +170,16 @@ class ApplyReport:
 
 #: Sole-feature marker of a subtree whose assignments target several features.
 _MIXED = object()
-#: Bound once for the index walk, which reads them per node: an Enum member is slow to look up.
-_ONE, _STAR, _PLUS = Cardinality.ONE, Cardinality.STAR, Cardinality.PLUS
+#: Bound once for the index walk, which reads them per group: an Enum member is slow to look up.
+_STAR, _PLUS = Cardinality.STAR, Cardinality.PLUS
 
 
 class RuleIndex:
-    """What scope resolution, the extractor and evaluate's signature scan
-    read of one rule state, from one bottom-up walk of its body: each
-    feature's assignment ``paths`` and region ``anchors`` (keyed in order of
-    first assignment), the ``assignments`` and non-brace ``keywords`` in
-    pre-order, the ``brace_count`` of brace keywords and ``cardinality_count``
-    of nodes with a cardinality, the ``separators`` opening ``*``/``+``
-    groups, the body's ``braces`` region and the ``leading`` keyword, if any.
+    """What scope resolution and the extractor read of one rule state, from
+    one bottom-up walk of its body: each feature's assignment ``paths`` and
+    region ``anchors`` (keyed in order of first assignment), the non-brace
+    ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
+    the body's ``braces`` region and the ``leading`` keyword, if any.
 
     Per feature it also holds the keyword right before the first assignment
     (``keyword_before``: the nearest non-brace sibling, if that is a keyword
@@ -198,18 +196,16 @@ class RuleIndex:
     anchors at the wrapper group, not at the whole body."""
 
     __slots__ = (
-        "paths", "anchors", "assignments", "keywords", "brace_count", "cardinality_count",
-        "separators", "braces", "leading", "keyword_before", "calls", "braced", "repeats",
+        "paths", "anchors", "keywords", "separators", "braces", "leading",
+        "keyword_before", "calls", "braced", "repeats",
     )
 
     def __init__(self, rule: ParserRule):
-        # [assignment, path, call, anchor, braced, repeat] per assignment, in pre-order
+        # [feature, path, call, anchor, braced, repeat] per assignment, in pre-order
         found: list[list] = []
         keywords: list[str] = []
         separators: set[str] = set()
         keyword_before: dict[str, str | None] = {}
-        body = rule.body
-        counts = [0, int(body.cardinality is not _ONE)]  # brace keywords, nodes with a cardinality
 
         def visit(node: Expression, path: Path, before: str | None):
             """The one feature below ``node`` (None if none, _MIXED if
@@ -222,7 +218,7 @@ class RuleIndex:
             if kind is Assignment:
                 sole, own = node.feature, [len(found)]
                 call = node.terminal.rule_name if type(node.terminal) is RuleCall else None
-                found.append([node, path, call, path, False, None])
+                found.append([node.feature, path, call, path, False, None])
                 keyword_before.setdefault(node.feature, before)
                 kids: tuple[Expression, ...] = (node.terminal,)
             elif kind is Group:
@@ -236,13 +232,10 @@ class RuleIndex:
             rising: list[int] = []
             before = None
             for i, child in enumerate(kids):
-                if child.cardinality is not _ONE:
-                    counts[1] += 1
                 child_kind = type(child)
                 if child_kind is Keyword:
                     text = child.text
                     if text == "{" or text == "}":
-                        counts[0] += 1
                         braced = True
                         continue  # the keyword before a node skips braces
                     keywords.append(text)
@@ -272,23 +265,21 @@ class RuleIndex:
                 return sole, rising, braced, repeat
             return sole, [], braced, repeat
 
+        body = rule.body
         kind = type(body)
         if kind is Assignment or kind is Group or kind is Alternatives:
             visit(body, (), None)
-        elif is_brace(body):
-            counts[0] = 1
-        elif kind is Keyword:
+        elif kind is Keyword and not is_brace(body):
             keywords.append(body.text)
         self.paths: dict[str, list[Path]] = {}
         self.anchors: dict[str, list[Path]] = {}
         self.calls: dict[str, list[str | None]] = {}
         self.braced: set[Path] = set()
         self.repeats: dict[Path, str | None] = {}
-        self.assignments: list[Assignment] = [entry[0] for entry in found]
-        for node, path, call, anchor, braced, repeat in found:
-            self.paths.setdefault(node.feature, []).append(path)
-            self.calls.setdefault(node.feature, []).append(call)
-            seen = self.anchors.setdefault(node.feature, [])
+        for feature, path, call, anchor, braced, repeat in found:
+            self.paths.setdefault(feature, []).append(path)
+            self.calls.setdefault(feature, []).append(call)
+            seen = self.anchors.setdefault(feature, [])
             if anchor not in seen:
                 seen.append(anchor)
                 if braced:
@@ -296,7 +287,6 @@ class RuleIndex:
                 if repeat is not None:
                     self.repeats[anchor] = _separator(repeat)
         self.keywords = keywords
-        self.brace_count, self.cardinality_count = counts
         self.separators = separators
         self.keyword_before = keyword_before
         children = body.children if kind is Group else (body,)
@@ -808,6 +798,9 @@ def config_from_json(text: str) -> TransformationConfig:
         raise TransformError("invalid config JSON: missing 'entries'")
     if not isinstance(doc["entries"], list):
         raise TransformError("invalid config JSON: 'entries' is not a list")
+    provenance = doc.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise TransformError("invalid config JSON: 'provenance' is not a string")
     entries = []
     for i, raw in enumerate(doc["entries"]):
         if not isinstance(raw, dict):
@@ -840,9 +833,7 @@ def config_from_json(text: str) -> TransformationConfig:
             raise TransformError(f"entry {i}: {problem}")
         scope = Scope(scope_kind, rule=rule, feature=feature)
         entries.append(TransformOp(kind=kind, scope=scope, params=params))
-    return TransformationConfig(
-        entries=tuple(entries), provenance=str(doc.get("provenance", ""))
-    )
+    return TransformationConfig(entries=tuple(entries), provenance=provenance)
 
 
 def config_summary(config: TransformationConfig) -> str:

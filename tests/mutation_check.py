@@ -50,20 +50,20 @@ MUTANTS = (
         ("tests/test_extract.py::test_round_trip_needs_phase_order",),
     ),
     Mutant(
-        "the signature scan ignores the cardinality count",
+        "the signature scan counts only ? marks, not * or +",
         "evaluate.py",
-        "return (index.brace_count, index.cardinality_count), words, punct, typed",
-        "return (index.brace_count,), words, punct, typed",
+        'elif token == "?" or token == "*" or token == "+":',
+        'elif token == "?":',
         (
             "tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_fixture_rule_pairs",
             "tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_drawn_rules",
         ),
     ),
     Mutant(
-        "the signature scan compares keyword sets, not multisets",
+        "the signature scan counts each keyword once, not each occurrence",
         "evaluate.py",
-        "if words_a != words_b:",
-        "if set(words_a) != set(words_b):",
+        "(words if _is_word(token[1:-1]) else punct)[token] += 1",
+        "(words if _is_word(token[1:-1]) else punct)[token] = 1",
         ("tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_drawn_rules",),
     ),
     Mutant(
@@ -74,11 +74,11 @@ MUTANTS = (
         ("tests/test_rule_index.py::test_fixture_rules_index_like_the_reference",),
     ),
     Mutant(
-        "the index does not count the cardinality of assignment terminals",
-        "transform.py",
-        "if child.cardinality is not _ONE:",
-        "if child.cardinality is not _ONE and kind is not Assignment:",
-        ("tests/test_rule_index.py::test_drawn_rules_index_like_the_reference",),
+        "the signature scan does not count the mark right after an assignment's terminal",
+        "evaluate.py",
+        'elif token == "?" or token == "*" or token == "+":',
+        'elif token in ("?", "*", "+") and sig[i - 2] not in ASSIGN_OPERATORS:',
+        ("tests/test_evaluate.py::test_signature_scan_matches_the_reference_on_drawn_rules",),
     ),
     Mutant(
         "the greedy search goes on after reaching distance 0",
@@ -86,6 +86,55 @@ MUTANTS = (
         "break  # no later candidate can lower it",
         "pass",
         ("tests/test_extract.py::test_trio_search_indexes_each_rule_state_once",),
+    ),
+    Mutant(
+        "token_distance drops the carry into the low bit of the +1 steps",
+        "parsing.py",
+        "ph = ((ph << 1) | 1) & mask",
+        "ph = (ph << 1) & mask",
+        ("tests/test_parsing.py::test_token_distance_matches_full_matrix",),
+    ),
+    Mutant(
+        "token_distance holds its bit vectors in 64 bits",
+        "parsing.py",
+        "mask = bit - 1\n",
+        "mask = (bit - 1) & 0xFFFFFFFFFFFFFFFF\n",
+        ("tests/test_parsing.py::test_token_distance_matches_full_matrix",),
+    ),
+    Mutant(
+        "config_from_json lets a RecursionError through",
+        "transform.py",
+        "    except (ValueError, RecursionError) as err:\n        raise TransformError(f\"invalid config JSON",
+        "    except ValueError as err:\n        raise TransformError(f\"invalid config JSON",
+        ("tests/test_transform.py::test_config_from_json_rejects_deep_or_huge_json",),
+    ),
+    Mutant(
+        "_rewritten does not settle the rewritten body",
+        "transform.py",
+        "return replace(rule, body=settle(body)), matched",
+        "return replace(rule, body=body), matched",
+        ("tests/test_rewrite.py::test_drawn_rules_agree_with_the_reference",),
+    ),
+    Mutant(
+        "_rewrite does not collapse a group that lost a child",
+        "transform.py",
+        "return collapse(expr), matched",
+        "return expr, matched",
+        (
+            "tests/test_rewrite.py::test_emptied_sibling_is_collapsed",
+            "tests/test_rewrite.py::test_separator_remainder_is_collapsed",
+        ),
+    ),
+    Mutant(
+        "REMOVE_BRACES and REMOVE_KEYWORD swap phases",
+        "transform.py",
+        "OpSpec(4, AdaptationType.BRACE_OPTIONALITY_REMOVAL,\n"
+        "        _apply_remove_braces, None, (), None),\n"
+        "    OpKind.REMOVE_KEYWORD: OpSpec(5,",
+        "OpSpec(5, AdaptationType.BRACE_OPTIONALITY_REMOVAL,\n"
+        "        _apply_remove_braces, None, (), None),\n"
+        "    OpKind.REMOVE_KEYWORD: OpSpec(4,",
+        ("tests/test_catalog.py::test_phases_are_pinned",),
     ),
 )
 

@@ -1,12 +1,13 @@
 import importlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build_trio, corpus_grammars, load_grammar, load_pair, random_mutation_pair
-from test_rewrite import _RULE
+from test_rewrite import _ASSIGNMENT, _CARD, _KEYWORD, _MARKS
 from xtadapt.evaluate import (
     AdaptationType,
     RuleStatus,
@@ -19,15 +20,17 @@ from xtadapt.evaluate import (
     report_table,
 )
 from xtadapt.model import (
+    Alternatives,
     Assignment,
     CrossReference,
+    Group,
     Keyword,
     ParserRule,
     RuleCall,
     is_brace,
     walk,
 )
-from xtadapt.parsing import parse_grammar
+from xtadapt.parsing import parse_grammar, rule_signature
 from xtadapt.transform import _is_word
 
 #: The module, which the package's `evaluate` function shadows.
@@ -234,7 +237,7 @@ def _ref_rule_facts(rule):
                 calls.append((node.feature, node.terminal.rule_name))
             elif isinstance(node.terminal, CrossReference):
                 crossrefs.append(
-                    f"{node.feature}:[{node.terminal.type_name}|{node.terminal.terminal_name}]"
+                    (node.feature, node.terminal.type_name, node.terminal.terminal_name)
                 )
         if node.cardinality.value:
             cards += 1
@@ -262,7 +265,7 @@ def _ref_signature_scan(a, b):
     shared = [f for f in ordered_a if f in ordered_b]
     if [f for f in ordered_b if f in shared] != shared:
         types.add(AdaptationType.ATTRIBUTE_PROMOTION)
-    if sorted(calls_a) != sorted(calls_b) or sorted(xref_a) != sorted(xref_b):
+    if sorted(calls_a) != sorted(calls_b) or Counter(xref_a) != Counter(xref_b):
         types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
     if sorted(ops_a) != sorted(ops_b):
         types.add(AdaptationType.TYPE_SYSTEM_ADAPTATION)
@@ -273,16 +276,27 @@ _FIXTURE_GRAMMARS = [grammar for _, grammar in corpus_grammars()]
 _FIXTURE_RULES = [rule for grammar in _FIXTURE_GRAMMARS for rule in grammar.rules]
 
 
-def _empty_shell(rule):
-    """What `_pair_types` scans a rule against when the other side lacks it."""
-    return ParserRule(rule.name, None, RuleCall(rule_name=rule.name))
+def _empty_shell(name):
+    """What the reference scans for a missing rule: a body with no keyword,
+    mark or assignment."""
+    return ParserRule(name, None, RuleCall(rule_name=name))
+
+
+def _scans_like_the_reference(a, b) -> bool:
+    """Whether the scan of the two rules' signatures equals the reference's
+    scan of the rules.  None is a missing rule: the scan gets `[]`, as
+    `_pair_types` passes it, and the reference gets the empty shell."""
+    name = (a or b).name
+    sig_a, sig_b = ([] if r is None else rule_signature(r) for r in (a, b))
+    shell_a, shell_b = (_empty_shell(name) if r is None else r for r in (a, b))
+    return _signature_scan(sig_a, sig_b) == _ref_signature_scan(shell_a, shell_b)
 
 
 def test_signature_scan_matches_the_reference_on_fixture_rule_pairs():
-    rules = _FIXTURE_RULES + [_empty_shell(rule) for rule in _FIXTURE_RULES]
-    for a in rules:
-        for b in rules:
-            assert _signature_scan(a, b) == _ref_signature_scan(a, b), (a.name, b.name)
+    pairs = [(a, b) for a in _FIXTURE_RULES for b in _FIXTURE_RULES]
+    pairs += [(r, None) for r in _FIXTURE_RULES] + [(None, r) for r in _FIXTURE_RULES]
+    for a, b in pairs:
+        assert _scans_like_the_reference(a, b), (a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -297,18 +311,57 @@ def test_signature_scan_matches_the_reference_on_mutants(base, seed, other):
     for rule in base.rules:
         changed = mutant.get(rule.name, rule)
         pairs = [(rule, changed), (changed, rule), (changed, other), (other, changed)]
-        pairs += [(changed, _empty_shell(changed)), (_empty_shell(changed), changed)]
+        pairs += [(changed, None), (None, changed)]
         for a, b in pairs:
-            assert _signature_scan(a, b) == _ref_signature_scan(a, b), (a, b)
+            assert _scans_like_the_reference(a, b), (a, b)
+
+
+#: Terminals whose tokens the scan's tags must hold whole: qualified calls,
+#: each cross-reference form (`[T]` and `[T|None]` among them), and a mark
+#: on the terminal itself, a shape the parser never makes.
+_TERMINAL = st.builds(
+    RuleCall, rule_name=st.sampled_from(["A", "ID", "a::B", "a.b"]), cardinality=_CARD
+) | st.builds(
+    lambda ref, card: CrossReference(*ref, cardinality=card),
+    st.sampled_from([("T", "ID"), ("T", None), ("", "ID"), ("a::T", "ID"), ("T", "None")]),
+    _CARD,
+)
+_SCANNED_LEAF = (
+    _KEYWORD
+    | _ASSIGNMENT
+    | st.builds(Assignment, feature=st.sampled_from(["x", "y"]),
+                operator=st.sampled_from(["=", "+="]), terminal=_TERMINAL, **_MARKS)
+    | st.builds(RuleCall, rule_name=st.sampled_from(["A", "a::B"]))
+)
+_SCANNED_NODE = st.recursive(
+    _SCANNED_LEAF,
+    lambda inner: st.builds(Group, children=st.lists(inner, min_size=1, max_size=4), **_MARKS)
+    | st.builds(Alternatives, branches=st.lists(inner, min_size=2, max_size=3), **_MARKS),
+    max_leaves=12,
+)
+_SCANNED_RULE = st.builds(
+    lambda kids: ParserRule("R", None, Group(children=tuple(kids))),
+    st.lists(_SCANNED_NODE, min_size=1, max_size=5),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_RULE, b=_RULE)
+@given(a=_SCANNED_RULE, b=_SCANNED_RULE)
 def test_signature_scan_matches_the_reference_on_drawn_rules(a, b):
     """Drawn rules hold shapes the parser never makes: predicated groups,
     nested alternatives and brace keywords as assignment terminals."""
-    for x, y in [(a, b), (b, a), (a, _empty_shell(a)), (_empty_shell(b), b)]:
-        assert _signature_scan(x, y) == _ref_signature_scan(x, y), (x, y)
+    for x, y in [(a, b), (b, a), (a, None), (None, b)]:
+        assert _scans_like_the_reference(x, y), (x, y)
+
+
+def test_a_cross_reference_that_gains_a_terminal_is_a_type_system_adaptation():
+    """`[T]` and `[T|None]` differ in their tokens, so the fallback pair
+    needs a type-system adaptation that the unadapted candidate lacks."""
+    g2, target = parse_grammar("R: x=[T];"), parse_grammar("R: x=[T|None];")
+    per_type = evaluate(g2, g2, target).per_type
+    assert {t: (c.occurrences, c.correct, c.incorrect) for t, c in per_type.items()} == {
+        AdaptationType.TYPE_SYSTEM_ADAPTATION: (1, 0, 1)
+    }
 
 
 def test_classify_perfect_candidate_never_incorrect():
@@ -351,6 +404,9 @@ def test_classify_agrees_with_a_search_of_every_candidate_rule():
     trios += [(g2, g2, target) for _, g2, target, _ in corpus_pairs()]
     trios += [(g2, target, target) for _, g2, target, _ in corpus_pairs()]
     trios += [(g2, target, g2) for _, g2, target, _ in corpus_pairs()]
+    kept = parse_grammar("A: 'a' x=ID;\n\nB: 'b' '{' y=ID '}';")
+    dropped = parse_grammar("A: 'a' x=ID;")  # the target drops B; so may the candidate
+    trios += [(kept, kept, dropped), (kept, dropped, dropped)]
     for g2, candidate, target in trios:
         per_type = evaluate(g2, candidate, target).per_type
         assert all(c.occurrences == c.correct + c.incorrect for c in per_type.values())

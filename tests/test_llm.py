@@ -80,10 +80,22 @@ def test_scripted_success(mission_inputs):
 def test_follow_up_names_conformance_finding(mission_inputs):
     g1, g1prime, g2 = mission_inputs
     broken = "Mission returns Mission:\n    'Mission' type=[|EString];\n"
-    backend = scripted("Understood.", broken, print_grammar(g1prime))
+    sent = []
+
+    class Recording(MockBackend):
+        def complete(self, messages):
+            sent.append(messages)
+            return super().complete(messages)
+
+    backend = Recording(["Understood.", broken, print_grammar(g1prime)])
     session = run_adaptation(g1, g1prime, g2, backend, MISSION_TERMINALS)
     assert session.outcome is Outcome.ACCEPTED
     assert session.follow_ups_used == 1
+    wire = [
+        {"role": {"user": "user", "model": "assistant"}[t.role], "content": t.text}
+        for t in session.turns
+    ]
+    assert sent == [wire[:1], wire[:3], wire[:5]]  # each request holds every turn before it
     follow_up = [t for t in session.turns if t.role == "user"][2]
     assert "EMPTY_CROSSREF_TYPE" in follow_up.text
     assert follow_up.text.startswith("The adapted grammar has the following issues:")

@@ -5,10 +5,8 @@
 ``_ref_braces`` are the extractor's rule facts before the index,
 ``_ref_feature_context`` is its walk of each shared feature's anchor region,
 and ``_ref_feature_anchors`` (in ``test_rewrite``) is the anchor walk;
-``_ref_scan_counts`` is the walk that evaluate's signature scan made before
-it read the index.  They are kept as references only.  Dict facts are
-compared with their key order, which decides the order of the extractor's
-candidates.
+they are kept as references only.  Dict facts are compared with their key
+order, which decides the order of the extractor's candidates.
 """
 
 from __future__ import annotations
@@ -57,15 +55,6 @@ def _ref_separators(rule: ParserRule) -> set[str]:
         and n.children
         and isinstance(n.children[0], Keyword)
     }
-
-
-def _ref_scan_counts(rule: ParserRule) -> tuple[list[Assignment], int, int]:
-    """The assignments in pre-order, the number of brace keywords and the
-    number of nodes that carry a cardinality, assignment terminals included."""
-    nodes = [n for _, n in walk(rule.body)]
-    assignments = [n for n in nodes if isinstance(n, Assignment)]
-    cards = sum(1 for n in nodes if n.cardinality is not Cardinality.ONE)
-    return assignments, sum(1 for n in nodes if is_brace(n)), cards
 
 
 def _body_children(rule: ParserRule):
@@ -173,9 +162,6 @@ def _assert_indexed(rule: ParserRule) -> None:
     assert index.braces == _ref_braces(rule), rule
     assert index.leading == _ref_leading_keyword(rule), rule
     assert list(index.keyword_before) == list(index.calls) == list(index.paths), rule
-    assignments, braces, cards = _ref_scan_counts(rule)
-    assert [id(a) for a in index.assignments] == [id(a) for a in assignments], rule
-    assert (index.brace_count, index.cardinality_count) == (braces, cards), rule
     for feature in index.paths:
         expected = _ref_feature_context(rule, index, feature)
         assert _feature_facts(rule, index, feature) == expected, (feature, rule)
@@ -197,7 +183,7 @@ def test_corpus_mutants_index_like_the_reference(base, seed):
 
 
 #: An assignment whose terminal carries a cardinality, a shape the parser
-#: never makes (it marks the assignment), which the counts must still see.
+#: never makes (it marks the assignment).
 _MARKED_TERMINAL = st.builds(
     Assignment,
     feature=st.sampled_from(["x", "y"]),

@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -439,13 +439,15 @@ _CONFIG = st.fixed_dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_JSON | _CONFIG)
+@example(doc={"provenance": ["x"], "entries": []})
 def test_config_from_json_fails_closed(doc):
     """Any JSON value loads or raises TransformError, and a loaded config
-    applies or raises TransformError."""
+    keeps its provenance as written and applies or raises TransformError."""
     try:
         config = config_from_json(json.dumps(doc))
     except TransformError:
         return
+    assert config.provenance == doc.get("provenance", "")
     for entry in config.entries:
         if entry.scope.kind is not ScopeKind.GRAMMAR:
             assert isinstance(entry.scope.rule, str) and entry.scope.rule
