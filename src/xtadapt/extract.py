@@ -20,7 +20,6 @@ from .model import (
     Group,
     Keyword,
     ParserRule,
-    grammar_problems,
     is_brace,
     node_at,
 )
@@ -29,9 +28,10 @@ from .transform import (
     CATALOG,
     OpKind,
     RuleIndex,
-    TransformError,
     TransformOp,
     TransformationConfig,
+    _apply_in_order,
+    _check_invariants,
     attribute_scope,
     rule_scope,
 )
@@ -171,9 +171,9 @@ def infer_rule_ops(
     if src.returns_type != dst.returns_type or src.enum != dst.enum:
         return [_fallback_op(dst, src)], True
     working = src
-    index = src_index = RuleIndex(src)
+    index = RuleIndex(src)
     distance = token_distance(src_sig, target_sig)
-    candidates = _candidates(src, dst, src_index, RuleIndex(dst))
+    candidates = _candidates(src, dst, index, RuleIndex(dst))
     accepted: list[TransformOp] = []
     progress = True
     while progress and distance > 0:
@@ -202,11 +202,7 @@ def infer_rule_ops(
         # The greedy loop validated ops in acceptance order; replay runs them
         # phase-bucketed, which can disagree when ops overlap structurally.
         # In acceptance order the replay would redo the loop's own applies.
-        replayed, index = src, src_index
-        for op in ordered:
-            replayed, matched = CATALOG[op.kind].apply(replayed, op, index)
-            if matched:
-                index = RuleIndex(replayed)
+        (replayed,), _ = _apply_in_order(ordered, (src,))
         if rule_signature(replayed) != target_sig:
             return [_fallback_op(dst, src)], True
     return ordered, False
@@ -230,28 +226,25 @@ def extract_config(g1: Grammar, g1prime: Grammar) -> ExtractionResult:
     search proves each other rule; checked here are ``g1``'s invariants,
     ``g1prime`` rules that share a name and that fallback bodies replay.
     """
-    if problems := grammar_problems(g1):
-        raise TransformError("config application broke grammar invariants: " + "; ".join(problems))
-    src_rules = {r.name: r for r in g1.rules}
+    _check_invariants(g1)
+    names = {r.name for r in g1.rules}
     # Each paired G1' rule is signed once, for the search and the checks.
-    target_sigs = [rule_signature(r) if r.name in src_rules else None for r in g1prime.rules]
+    target_sigs = [rule_signature(r) if r.name in names else None for r in g1prime.rules]
     dst_rules = {r.name: (r, sig) for r, sig in zip(g1prime.rules, target_sigs)}
     for rule, sig in zip(g1prime.rules, target_sigs):
         if dst_rules[rule.name][1] != sig:
             raise ExtractionError(f"extracted config does not replay rule {rule.name!r}")
-    names = [r.name for r in g1.rules]
-    removed = [n for n in names if n not in dst_rules]
+    removed = [r.name for r in g1.rules if r.name not in dst_rules]
     entries: list[TransformOp] = []
     fallback_count = len(removed)
-    for rule_name in names:
-        if rule_name in dst_rules:
-            src = src_rules[rule_name]
-            dst, dst_sig = dst_rules[rule_name]
+    for src in g1.rules:
+        if src.name in dst_rules:
+            dst, dst_sig = dst_rules[src.name]
             ops, fell_back = infer_rule_ops(src, dst, rule_signature(src), dst_sig)
             if fell_back:
-                replaced, _ = CATALOG[OpKind.REPLACE_RULE].apply(src, ops[0], None)
+                (replaced,), _ = _apply_in_order(ops, (src,))
                 if rule_signature(replaced) != dst_sig:
-                    raise ExtractionError(f"extracted config does not replay rule {rule_name!r}")
+                    raise ExtractionError(f"extracted config does not replay rule {src.name!r}")
             fallback_count += fell_back
             entries.extend(ops)
     entries.extend(

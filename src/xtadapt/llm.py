@@ -142,23 +142,21 @@ class HttpBackend:
             }
         ).encode("utf-8")
         import urllib.request  # here, not at the top: it loads http.client, ssl and email
-        request = urllib.request.Request(
-            self.endpoint,
-            data=payload,
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": f"Bearer {credential}",
-            },
-        )
+        headers = {"Content-Type": "application/json", "Authorization": f"Bearer {credential}"}
         try:
+            # Request raises ValueError for a URL without a scheme.
+            request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
         except (OSError, ValueError, RecursionError) as err:  # URLError is an OSError
             raise BackendError(f"backend request failed: {err}") from err
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as err:
             raise BackendError(f"unexpected backend response shape: {err}") from err
+        if not isinstance(content, str):  # a tool-call reply has null content
+            raise BackendError("unexpected backend response shape: content is not a string")
+        return content
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)

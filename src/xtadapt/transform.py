@@ -609,18 +609,16 @@ def _apply_promote_attribute(
 def _apply_make_braces_optional(
     rule: ParserRule, op: TransformOp, index: RuleIndex | None
 ) -> tuple[ParserRule, int]:
-    body = rule.body
-    if not isinstance(body, Group):
-        return rule, 0
-    span = brace_span(body.children)
-    if span is None:
-        return rule, 0
-    lo, hi = span
-    wrapped = Group(
-        children=body.children[lo : hi + 1], cardinality=Cardinality.OPTIONAL
-    )
-    new_children = body.children[:lo] + (wrapped,) + body.children[hi + 1 :]
-    return replace(rule, body=settle(replace(body, children=new_children))), 1
+    def fn(node: Expression, path: Path, inside: bool):
+        # With no anchors, only the body root comes here.
+        span = brace_span(node.children) if isinstance(node, Group) else None
+        if span is None:
+            return node, 0
+        lo, hi = span
+        wrapped = Group(children=node.children[lo : hi + 1], cardinality=Cardinality.OPTIONAL)
+        return replace(node, children=node.children[:lo] + (wrapped,) + node.children[hi + 1 :]), 1
+
+    return _rewritten(rule, fn, [])
 
 
 def _apply_replace_rule(
@@ -675,7 +673,7 @@ CATALOG: dict[OpKind, OpSpec] = {
 
 
 def _apply_in_order(
-    ops: list[TransformOp], grammar: Grammar
+    ops: list[TransformOp], rules: Iterable[ParserRule]
 ) -> tuple[tuple[ParserRule, ...], list[int]]:
     """Apply ``ops`` in list order, each to every in-scope rule, as one pass
     over the rules: each rule gets its own ops and the GRAMMAR-scoped ones,
@@ -698,8 +696,8 @@ def _apply_in_order(
         else:
             by_rule.setdefault(op.scope.rule, []).append(i)
     matched = [0] * len(ops)
-    rules: list[ParserRule] = []
-    for rule in grammar.rules:
+    kept: list[ParserRule] = []
+    for rule in rules:
         own = by_rule.get(rule.name, [])
         index = None  # the rule state's index, built once an op needs it
         for i in sorted(own + everywhere):
@@ -717,10 +715,15 @@ def _apply_in_order(
                 if rule is None:
                     break
         if rule is not None:
-            rules.append(rule)
+            kept.append(rule)
     if errors:
         raise errors[min(errors)]
-    return tuple(rules), matched
+    return tuple(kept), matched
+
+
+def _check_invariants(grammar: Grammar) -> None:
+    if problems := grammar_problems(grammar):
+        raise TransformError("config application broke grammar invariants: " + "; ".join(problems))
 
 
 def apply_config(
@@ -729,14 +732,10 @@ def apply_config(
     """Apply all entries in canonical phase order, in one pass over the
     rules; the input is untouched."""
     ordered = sorted(config.entries, key=lambda op: CATALOG[op.kind].phase)
-    rules, matched = _apply_in_order(ordered, grammar)
+    rules, matched = _apply_in_order(ordered, grammar.rules)
     report = ApplyReport([OpOutcome(op=op, matched=m) for op, m in zip(ordered, matched)])
     current = replace(grammar, rules=rules) if any(matched) else grammar
-    problems = grammar_problems(current)
-    if problems:
-        raise TransformError(
-            "config application broke grammar invariants: " + "; ".join(problems)
-        )
+    _check_invariants(current)
     return current, report
 
 
@@ -838,7 +837,5 @@ def config_from_json(text: str) -> TransformationConfig:
 
 def config_summary(config: TransformationConfig) -> str:
     """Human-readable one-line-per-op summary for audit output."""
-    if config.is_identity:
-        return "identity: 0 operations\n"
     lines = [op.describe() for op in config.entries]
     return "\n".join(lines) + "\n"

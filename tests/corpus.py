@@ -78,7 +78,7 @@ def assignments_of(rule: ParserRule) -> list[tuple[TreePath, Assignment]]:
 def apply_single(op: TransformOp, grammar: Grammar) -> tuple[Grammar, int]:
     """Apply one operation to every in-scope rule in one pass; a scope that
     matches nothing yields the input grammar and count 0."""
-    rules, (matched,) = _apply_in_order([op], grammar)
+    rules, (matched,) = _apply_in_order([op], grammar.rules)
     if not matched:
         return grammar, 0
     return replace(grammar, rules=rules), matched

@@ -2,9 +2,9 @@
 
 A row names a file under ``src/xtadapt``, an exact piece of its text, what
 to put in its place and the test ids that must then fail.  For each row the
-script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, makes the one substitution there and runs the named tests with
-``python -m pytest``; the checkout itself is never modified.  The named
+script copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
+temporary directory, makes the one substitution there and runs the named
+tests with ``python -m pytest``; the checkout itself is never modified.  The named
 tests must first pass on an unmodified copy, so a row cannot count a test
 that fails anyway as a kill.
 
@@ -134,7 +134,58 @@ MUTANTS = (
         "OpSpec(5, AdaptationType.BRACE_OPTIONALITY_REMOVAL,\n"
         "        _apply_remove_braces, None, (), None),\n"
         "    OpKind.REMOVE_KEYWORD: OpSpec(4,",
-        ("tests/test_catalog.py::test_phases_are_pinned",),
+        (
+            "tests/test_catalog.py::test_phases_are_pinned",
+            "tests/test_catalog.py::test_readme_catalog_table_matches_the_rows",
+        ),
+    ),
+    Mutant(
+        "ADD_TERMINATOR and CHANGE_CALLED_RULE swap phases",
+        "transform.py",
+        "OpSpec(6, AdaptationType.SEPARATOR_MODIFICATION,\n"
+        "        _apply_add_terminator, None, (\"text\",), (\"text\", printable_keyword)),\n"
+        "    OpKind.CHANGE_CALLED_RULE: OpSpec(7,",
+        "OpSpec(7, AdaptationType.SEPARATOR_MODIFICATION,\n"
+        "        _apply_add_terminator, None, (\"text\",), (\"text\", printable_keyword)),\n"
+        "    OpKind.CHANGE_CALLED_RULE: OpSpec(6,",
+        (
+            "tests/test_catalog.py::test_phases_are_pinned",
+            "tests/test_catalog.py::test_readme_catalog_table_matches_the_rows",
+        ),
+    ),
+    Mutant(
+        "MAKE_BRACES_OPTIONAL wraps brace regions below the body root too",
+        "transform.py",
+        "return _rewritten(rule, fn, [])",
+        "return _rewritten(rule, fn, [()])",
+        (
+            "tests/test_extract.py::test_round_trip_over_corpus[mission-True]",
+            "tests/test_golden.py::test_golden_case[mission]",
+        ),
+    ),
+    Mutant(
+        "HttpBackend lets a ValueError or RecursionError through",
+        "llm.py",
+        "except (OSError, ValueError, RecursionError) as err:  # URLError is an OSError",
+        "except OSError as err:",
+        (
+            "tests/test_cli.py::test_adapt_endpoint_without_a_scheme_exit_4",
+            "tests/test_llm.py::test_http_backend_deep_response_is_a_backend_error",
+        ),
+    ),
+    Mutant(
+        "the CLI lets an undecodable grammar file through",
+        "cli.py",
+        "    except (OSError, UnicodeDecodeError) as err:\n        raise _InputError(f\"cannot read {path}",
+        "    except OSError as err:\n        raise _InputError(f\"cannot read {path}",
+        ("tests/test_cli.py::test_non_utf8_input_exit_2[grammar]",),
+    ),
+    Mutant(
+        "the CLI lets an ExtractionError through",
+        "cli.py",
+        "except (_InputError, TransformError, ExtractionError) as err:",
+        "except (_InputError, TransformError) as err:",
+        ("tests/test_cli.py::test_extract_internal_failure_exit_2",),
     ),
 )
 
@@ -143,7 +194,8 @@ def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):  # a catalog test reads README.md
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(workdir: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:

@@ -359,6 +359,33 @@ def test_adapt_missing_credential_exit_4(tmp_path, terminals_file, capsys, monke
     assert transcript["outcome"] == "ERROR"
 
 
+def test_adapt_endpoint_without_a_scheme_exit_4(tmp_path, terminals_file, capsys, monkeypatch):
+    # ``http://host`` splits at its first colon into the endpoint ``//host``,
+    # which urllib refuses before it opens any connection.
+    def no_urlopen(request, timeout):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setenv("XTADAPT_API_KEY", "dummy")
+    monkeypatch.setattr("urllib.request.urlopen", no_urlopen)
+    code = main(
+        [
+            "adapt",
+            "--g1", MISSION_G1,
+            "--g1-prime", MISSION_G1P,
+            "--g2", MISSION_G1,
+            "--backend", "http://example.invalid/v1",
+            "--terminals", terminals_file,
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: backend request failed: ")
+    assert err.count("\n") == 1
+    transcript = json.loads((tmp_path / "run" / "transcript.json").read_text(encoding="utf-8"))
+    assert transcript["outcome"] == "ERROR"
+
+
 def test_adapt_outputs_reproducible(tmp_path, terminals_file):
     target_text = read_fixture("mission_target.xtext")
     replay = _write_replay(tmp_path, ["a", target_text])

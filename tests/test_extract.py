@@ -179,7 +179,8 @@ def test_search_returns_its_ops_in_phase_order_when_their_replay_agrees(monkeypa
     """ADD_OPTIONALITY lowers the distance only once the braces and the
     keyword are gone, so the greedy loop accepts it in its second pass, after
     ops of later phases; the phase-order replay reproduces G1', so the search
-    returns the ops in phase order."""
+    returns the ops in phase order.  The replay builds indexes as apply
+    does: only for an ATTRIBUTE-scoped op, once per rule state."""
     tries = []
     spec = transform.CATALOG[OpKind.ADD_OPTIONALITY]
 
@@ -187,7 +188,15 @@ def test_search_returns_its_ops_in_phase_order_when_their_replay_agrees(monkeypa
         tries.append(args[1])
         return applier(*args)
 
+    built = []
+    build = transform.RuleIndex.__init__
+
+    def counted_build(self, rule):
+        built.append(rule)
+        build(self, rule)
+
     monkeypatch.setitem(transform.CATALOG, OpKind.ADD_OPTIONALITY, replace(spec, apply=counted))
+    monkeypatch.setattr(transform.RuleIndex, "__init__", counted_build)
     g1 = parse_grammar("Label returns Label: 'Label' '{' ('value' value=String0) '}';")
     g1prime = parse_grammar("Label returns Label: 'Label' (value=String0)?;")
     result = extract_config(g1, g1prime)
@@ -200,6 +209,11 @@ def test_search_returns_its_ops_in_phase_order_when_their_replay_agrees(monkeypa
     # Tried and turned down in the first pass, accepted in the second, and
     # applied once more by the replay.
     assert len(tries) == 3
+    # The search indexes the source, the target and the two accepted states
+    # short of distance 0; the replay builds one before each ATTRIBUTE-scoped
+    # op (ADD_OPTIONALITY, REMOVE_KEYWORD) and none before the RULE-scoped
+    # REMOVE_BRACES.
+    assert len(built) == 6
     adapted, _ = apply_config(result.config, g1)
     assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
 

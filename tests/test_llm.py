@@ -327,6 +327,27 @@ def test_http_backend_deep_response_is_a_backend_error(monkeypatch):
         backend.complete([{"role": "user", "content": "hello"}])
 
 
+def test_http_backend_null_content_ends_the_session_in_error(monkeypatch, mission_inputs):
+    # Chat APIs send ``"content": null`` when the model calls a tool.
+    class NullContentResponse:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *args):
+            return False
+
+        def read(self):
+            return json.dumps({"choices": [{"message": {"content": None}}]}).encode("utf-8")
+
+    monkeypatch.setenv("XTADAPT_API_KEY", "sekrit")
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: NullContentResponse())
+    backend = HttpBackend("http://example.invalid/v1/chat")
+    with pytest.raises(BackendError, match="^unexpected backend response shape: "):
+        backend.complete([{"role": "user", "content": "hello"}])
+    session = run_adaptation(*mission_inputs, backend, MISSION_TERMINALS)
+    assert session.outcome is Outcome.ERROR
+
+
 @pytest.mark.parametrize(
     "error",
     [
