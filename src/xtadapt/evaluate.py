@@ -197,8 +197,6 @@ def _pair_types(
     (absence = everything the other side's signature shows)."""
     if src is None or dst is None:
         return _signature_scan(src_sig or dst_sig, [])  # a missing rule tallies as []
-    if src_sig == dst_sig:
-        return set()
     ops, fell_back = infer_rule_ops(src, dst, src_sig, dst_sig)
     if fell_back:
         return _signature_scan(src_sig, dst_sig)

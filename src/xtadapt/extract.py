@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    Assignment,
     Cardinality,
-    Expression,
     Grammar,
-    Group,
     Keyword,
     ParserRule,
     is_brace,
@@ -32,6 +29,7 @@ from .transform import (
     TransformationConfig,
     _apply_in_order,
     _check_invariants,
+    _terminator_slots,
     attribute_scope,
     rule_scope,
 )
@@ -59,16 +57,18 @@ def _before_braces(index: RuleIndex, feature: str) -> bool:
     return index.braces is None or not first or first[0] < index.braces[0]
 
 
-def _terminators(anchor: Expression, feature: str) -> list[str]:
-    """The non-brace keywords that directly follow the feature's assignments
-    among a group anchor's children."""
-    kids = anchor.children if isinstance(anchor, Group) else ()
-    return [
-        nxt.text
-        for child, nxt in zip(kids, kids[1:])
-        if isinstance(child, Assignment) and child.feature == feature
-        and isinstance(nxt, Keyword) and not is_brace(nxt)
-    ]
+def _terminators(rule: ParserRule, index: RuleIndex, feature: str) -> list[str]:
+    """The non-brace keywords right after the slots where ADD_TERMINATOR
+    puts a terminator of the feature, in anchor order and ascending index."""
+    after, _ = _terminator_slots(rule.body, index.anchors[feature], feature)
+    found = []
+    for path, ends in after.items():
+        kids = node_at(rule.body, path).children
+        for i in sorted(ends):
+            nxt = kids[i + 1] if i + 1 < len(kids) else None
+            if isinstance(nxt, Keyword) and not is_brace(nxt):
+                found.append(nxt.text)
+    return found
 
 
 def _candidates(
@@ -114,8 +114,8 @@ def _candidates(
             d_sep = dst_index.repeats[d_at]  # None drops the separator
             if d_sep != s_sep:
                 add(OpKind.CHANGE_SEPARATOR, scope, {"from": s_sep, "to": d_sep})
-        s_terminators = _terminators(s_node, feature)
-        for term in _terminators(d_node, feature):
+        s_terminators = _terminators(src, src_index, feature)
+        for term in _terminators(dst, dst_index, feature):
             if term not in s_terminators:
                 add(OpKind.ADD_TERMINATOR, scope, {"text": term})
         for s_call, d_call in zip(src_index.calls[feature], dst_index.calls[feature]):

@@ -192,8 +192,9 @@ class RuleIndex:
     A feature's anchor, per assignment, is the highest enclosing Group all
     of whose assignments target the feature (the repetition/optionality
     wrapper), else the assignment itself.  The body root only qualifies
-    without a foreign keyword: ``'Label' '{' ('value' value=X) '}'``
-    anchors at the wrapper group, not at the whole body."""
+    without a word keyword other than the feature's name:
+    ``'Label' '{' ('value' value=X) '}'`` anchors at the wrapper group, not
+    at the whole body."""
 
     __slots__ = (
         "paths", "anchors", "keywords", "separators", "braces", "leading",
@@ -231,17 +232,22 @@ class RuleIndex:
                 kids = node.branches
             rising: list[int] = []
             before = None
+            brace_kid = assignment_kid = False
+            words: list[str] = []  # the body root's own keywords
             for i, child in enumerate(kids):
                 child_kind = type(child)
                 if child_kind is Keyword:
                     text = child.text
                     if text == "{" or text == "}":
-                        braced = True
+                        braced = brace_kid = True
                         continue  # the keyword before a node skips braces
                     keywords.append(text)
+                    if not path:
+                        words.append(text)
                     before = None if text == rule.name else text
                     continue
                 if child_kind is Assignment or child_kind is Group or child_kind is Alternatives:
+                    assignment_kid = assignment_kid or child_kind is Assignment
                     child_sole, child_rising, child_braced, child_repeat = visit(
                         child, path + (i,), before
                     )
@@ -254,11 +260,14 @@ class RuleIndex:
             if kind is Assignment:
                 found[own[0]][4:] = braced, repeat
                 return sole, own, braced, repeat  # what its terminal holds stops there
+            # Braces belong to a region only right next to an assignment (the
+            # generated keyword-braces-content idiom), not around a sub-group.
             if (
                 kind is Group
                 and rising
                 and sole is not _MIXED
-                and _is_region(node, sole, path == ())
+                and (assignment_kid or not brace_kid)
+                and not any(w != sole and _is_word(w) for w in words)
             ):
                 for i in rising:
                     found[i][3:] = path, braced, repeat
@@ -304,23 +313,6 @@ def _separator(group: Group) -> str | None:
     group's separator."""
     kids = group.children
     return kids[0].text if kids and isinstance(kids[0], Keyword) else None
-
-
-def _is_region(group: Group, feature: str, is_body: bool) -> bool:
-    """Whether ``group``, all of whose assignments target ``feature``,
-    belongs to that feature's region."""
-    if is_body and any(
-        isinstance(c, Keyword) and c.text != feature and _is_word(c.text)
-        for c in group.children
-    ):
-        return False
-    # Brace keywords belong to the region only in the generated
-    # keyword-braces-content idiom, where the assignment sits right next to
-    # them; a braces wrapper around a finished sub-group is rule structure,
-    # not part of the attribute.
-    return not any(is_brace(c) for c in group.children) or any(
-        isinstance(c, Assignment) for c in group.children
-    )
 
 
 def _is_word(text: str) -> bool:
@@ -512,33 +504,39 @@ def _apply_change_separator(
     return _rewritten(rule, fn, anchors)
 
 
-def _apply_add_terminator(
-    rule: ParserRule, op: TransformOp, index: RuleIndex | None
-) -> tuple[ParserRule, int]:
-    if op.scope.kind is not ScopeKind.ATTRIBUTE:
-        return rule, 0
-    feature = op.scope.feature or ""
-    text = str(op.param("text"))
-    terminator = Keyword(text=text, quote=keyword_quote(text))
-    # The terminator follows each bare assignment anchor in a sequence, and
-    # in a group anchor the feature's last assignment among the group's
-    # children: keyed by the path of the group holding it, the indices it
-    # follows there.  A bare assignment that is a branch or the body joins
-    # the terminator in a group of its own.
+def _terminator_slots(
+    body: Expression, anchors: list[Path], feature: str
+) -> tuple[dict[Path, set[int]], set[Path]]:
+    """Where ADD_TERMINATOR puts a terminator of ``feature``: ``after`` maps
+    a group's path to the indices of the children it follows there (a bare
+    anchor in a sequence, and in a group anchor the feature's last assignment
+    among its children); ``wrap`` holds each bare anchor that is a branch or
+    the body, which joins the terminator in a group of its own."""
     after: dict[Path, set[int]] = {}
     wrap: set[Path] = set()
-    anchors = _scope_anchors(op, index)
     for anchor in anchors:
-        node = node_at(rule.body, anchor)
+        node = node_at(body, anchor)
         if isinstance(node, Group):
             kids = enumerate(node.children)
             last = [i for i, c in kids if isinstance(c, Assignment) and c.feature == feature]
             if last:
                 after.setdefault(anchor, set()).add(last[-1])
-        elif anchor and isinstance(node_at(rule.body, anchor[:-1]), Group):
+        elif anchor and isinstance(node_at(body, anchor[:-1]), Group):
             after.setdefault(anchor[:-1], set()).add(anchor[-1])
         else:
             wrap.add(anchor)
+    return after, wrap
+
+
+def _apply_add_terminator(
+    rule: ParserRule, op: TransformOp, index: RuleIndex | None
+) -> tuple[ParserRule, int]:
+    if op.scope.kind is not ScopeKind.ATTRIBUTE:
+        return rule, 0
+    text = str(op.param("text"))
+    terminator = Keyword(text=text, quote=keyword_quote(text))
+    anchors = _scope_anchors(op, index)
+    after, wrap = _terminator_slots(rule.body, anchors, op.scope.feature or "")
 
     def fn(node: Expression, path: Path, inside: bool):
         if path in wrap:

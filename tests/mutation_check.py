@@ -3,20 +3,22 @@
 A row names a file under ``src/xtadapt``, an exact piece of its text, what
 to put in its place and the test ids that must then fail.  For each row the
 script copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
-temporary directory, makes the one substitution there and runs the named
-tests with ``python -m pytest``; the checkout itself is never modified.  The named
-tests must first pass on an unmodified copy, so a row cannot count a test
-that fails anyway as a kill.
+temporary directory, makes the one substitution there and runs all the
+named tests with ``python -m pytest``; the checkout itself is never
+modified.  A mutant counts as killed only when every named test fails, so
+each test a row names must kill it on its own.  The named tests must first
+pass on an unmodified copy, so a row cannot count a test that fails anyway
+as a kill.
 
 Run it from anywhere, with the test requirements installed::
 
     python tests/mutation_check.py
 
-It exits 0 when every mutant is killed, and 1 when one survives, when a
-row's old text is not found exactly once in its file, or when the tests do
-not pass on the unmodified copy.  The file name does not start with
-``test_``, so pytest does not collect it.  When a change claims a mutation
-check, add its row here.
+It exits 0 when every mutant is killed, and 1 when one survives (it names
+each named test that passed), when a row's old text is not found exactly
+once in its file, or when the tests do not pass on the unmodified copy.
+The file name does not start with ``test_``, so pytest does not collect it.
+When a change claims a mutation check, add its row here.
 """
 
 from __future__ import annotations
@@ -69,9 +71,16 @@ MUTANTS = (
     Mutant(
         "the body root qualifies as a region despite a foreign keyword",
         "transform.py",
-        "_is_region(node, sole, path == ())",
-        "_is_region(node, sole, False)",
+        "                    if not path:\n                        words.append(text)\n",
+        "",
         ("tests/test_rule_index.py::test_fixture_rules_index_like_the_reference",),
+    ),
+    Mutant(
+        "extract reads terminators at the first anchor's slots only",
+        "extract.py",
+        "_terminator_slots(rule.body, index.anchors[feature], feature)",
+        "_terminator_slots(rule.body, index.anchors[feature][:1], feature)",
+        ("tests/test_extract.py::test_drawn_terminators_are_read_where_they_are_added",),
     ),
     Mutant(
         "the signature scan does not count the mark right after an assignment's terminal",
@@ -199,10 +208,22 @@ def _copy(dest: Path) -> None:
 
 
 def _pytest(workdir: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
-    """The named tests, run in ``workdir`` against its own ``src``."""
+    """The named tests, run in ``workdir`` against its own ``src``, all of
+    them, with a ``FAILED <id>`` summary line per failed test."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(workdir / "src"), str(workdir / "tests")]))
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
+
+
+def _survivors(result: subprocess.CompletedProcess, tests: tuple[str, ...]) -> list[str]:
+    """The named tests that did not fail; a name without parameters failed
+    when one of its cases did."""
+    failed = [
+        line.split(" ")[1]
+        for line in result.stdout.splitlines()
+        if line.startswith("FAILED ")
+    ]
+    return [t for t in tests if not any(f == t or f.startswith(t + "[") for f in failed)]
 
 
 def _imports_copy(workdir: Path) -> bool:
@@ -246,10 +267,11 @@ def main() -> int:
             result = _pytest(workdir, mutant.tests)
             seconds = time.perf_counter() - start
             shutil.rmtree(workdir)
-            if result.returncode == 1:  # tests ran and failed
+            survivors = _survivors(result, mutant.tests)
+            if result.returncode in (0, 1) and not survivors:  # every named test failed
                 print(f"killed    {mutant.name} ({seconds:.1f} s)")
-            elif result.returncode == 0:
-                problems.append(f"{mutant.name}: survived {', '.join(mutant.tests)}")
+            elif result.returncode in (0, 1):
+                problems.append(f"{mutant.name}: survived {', '.join(survivors)}")
                 print(f"SURVIVED  {mutant.name} ({seconds:.1f} s)")
             else:
                 problems.append(f"{mutant.name}: pytest exit {result.returncode}\n{_tail(result)}")

@@ -2,10 +2,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    FIXTURES,
     PAIRS,
     corpus_pairs,
     grammar_body_tokens,
@@ -14,10 +15,11 @@ from corpus import (
     random_mutation_pair,
     read_fixture,
 )
+from test_rewrite import _FIXTURE_GRAMMARS, _RULE
 import xtadapt.extract as extract
 import xtadapt.transform as transform
 from xtadapt.extract import ExtractionError, extract_config, infer_rule_ops
-from xtadapt.model import Grammar
+from xtadapt.model import Grammar, ParserRule
 from xtadapt.parsing import parse_grammar, print_grammar, rule_signature
 from xtadapt.transform import (
     OpKind,
@@ -116,6 +118,79 @@ def test_extract_adds_a_terminator_to_a_bare_assignment_body():
     result = extract_config(parse_grammar("R: x=A;"), parse_grammar("R: x=A ';';"))
     assert [entry.describe() for entry in result.config.entries] == ["ADD_TERMINATOR(text=';') @ attribute R.x"]
     assert result.fallback_count == 0
+
+
+def test_terminators_after_generated_attributes_replay_on_an_evolved_rule():
+    """A ``;`` after each keyword-per-attribute pair inside the braces is two
+    ADD_TERMINATOR ops, not a fallback, so replaying them on the rule of an
+    evolved metamodel keeps the attribute that the evolution added."""
+    g1 = parse_grammar("Mission: 'Mission' '{' 'uuid' uuid=UUID 'name' name=ID '}';")
+    g1prime = parse_grammar("Mission: 'Mission' '{' 'uuid' uuid=UUID ';' 'name' name=ID ';' '}';")
+    g2 = parse_grammar("Mission: 'Mission' '{' 'uuid' uuid=UUID 'name' name=ID 'extra' extra=ID '}';")
+    result = extract_config(g1, g1prime)
+    assert [entry.describe() for entry in result.config.entries] == [
+        "ADD_TERMINATOR(text=';') @ attribute Mission.uuid",
+        "ADD_TERMINATOR(text=';') @ attribute Mission.name",
+    ]
+    assert result.fallback_count == 0
+    adapted, report = apply_config(result.config, g2)
+    expected = parse_grammar("Mission: 'Mission' '{' 'uuid' uuid=UUID ';' 'name' name=ID ';' 'extra' extra=ID '}';")
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(expected)
+    assert report.warnings == []
+
+
+def _add_terminator(rule: ParserRule, feature: str, text: str) -> tuple[ParserRule, int]:
+    op = TransformOp(OpKind.ADD_TERMINATOR, attribute_scope(rule.name, feature), {"text": text})
+    return transform.CATALOG[op.kind].apply(rule, op, transform.RuleIndex(rule))
+
+
+def _reads_back_terminator(rule: ParserRule, feature: str, text: str) -> bool:
+    """Whether ADD_TERMINATOR(text) matches ``feature`` of ``rule``; when it
+    does, extract must read ``text`` as a terminator of the result."""
+    applied, matched = _add_terminator(rule, feature, text)
+    if matched:
+        assert text in extract._terminators(applied, transform.RuleIndex(applied), feature), (rule, feature)
+    return bool(matched)
+
+
+def test_fixture_terminators_are_read_where_they_are_added():
+    cases = [
+        (rule, feature, text)
+        for grammar in _FIXTURE_GRAMMARS
+        for rule in grammar.rules
+        for feature in transform.RuleIndex(rule).paths
+        for text in (";", "end")
+    ]
+    assert sum(_reads_back_terminator(*case) for case in cases) == 156
+
+
+#: ``x``'s first anchor, the group ``('k' ('j' x=A)?)``, holds no slot of
+#: its own; its second, ``x=B``, does.
+_SLOTLESS_FIRST_ANCHOR = parse_grammar("R: ('k' ('j' x=A)?) y=C x=B;").rules[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rule=_RULE, feature=st.sampled_from(["x", "y"]), text=st.sampled_from([";", "end"]))
+@example(rule=_SLOTLESS_FIRST_ANCHOR, feature="x", text=";")
+def test_drawn_terminators_are_read_where_they_are_added(rule, feature, text):
+    _reads_back_terminator(rule, feature, text)
+
+
+def test_a_terminator_added_to_any_fixture_rule_needs_no_fallback():
+    """ADD_TERMINATOR(';') on each fixture rule's first indexed feature is
+    extracted as catalog ops, wherever the op matches."""
+    matched = 0
+    for path in sorted(FIXTURES.glob("*.xtext")):
+        for rule in load_grammar(path.name).rules:
+            features = list(transform.RuleIndex(rule).paths)
+            if not features:
+                continue
+            applied, m = _add_terminator(rule, features[0], ";")
+            if m:
+                matched += 1
+                result = extract_config(Grammar(rules=(rule,)), Grammar(rules=(applied,)))
+                assert result.fallback_count == 0, rule.name
+    assert matched == 35
 
 
 @pytest.mark.parametrize("name,expressible", PAIRS)

@@ -5,8 +5,8 @@
 ``_ref_collapse`` and the nine ``_ref_apply_*`` appliers are the code that
 the one ``_rewrite`` walker replaced, kept as references only; they resolve
 scopes with ``_ref_feature_anchors``, the anchor walk that ``RuleIndex``
-replaced.  ``_ref_rewrite`` is ``_rewrite`` visiting the whole body: every
-applier must give the same result when its walk descends only along the
+replaced, with its region rule ``_ref_is_region``.  ``_ref_rewrite`` is
+``_rewrite`` visiting the whole body: every applier must give the same result when its walk descends only along the
 scope's anchors as when it visits the whole body.
 ``_ref_apply_remove_keyword`` leaves out the old ``"*"`` wildcard branch:
 ``'*'`` is a literal keyword like any other now.  ``_ref_apply_add_terminator``
@@ -70,7 +70,7 @@ from xtadapt.transform import (
     ScopeKind,
     TransformOp,
     _brace_region,
-    _is_region,
+    _is_word,
     _sibling_of_anchor,
     attribute_scope,
     grammar_scope,
@@ -104,6 +104,23 @@ def _mark_branch(parent: Expression, child: Expression | None) -> None:
 _MIXED = object()
 
 
+def _ref_is_region(group: Group, feature: str, is_body: bool) -> bool:
+    """Whether ``group``, all of whose assignments target ``feature``,
+    belongs to that feature's region."""
+    if is_body and any(
+        isinstance(c, Keyword) and c.text != feature and _is_word(c.text)
+        for c in group.children
+    ):
+        return False
+    # Brace keywords belong to the region only in the generated
+    # keyword-braces-content idiom, where the assignment sits right next to
+    # them; a braces wrapper around a finished sub-group is rule structure,
+    # not part of the attribute.
+    return not any(is_brace(c) for c in group.children) or any(
+        isinstance(c, Assignment) for c in group.children
+    )
+
+
 def _ref_feature_anchors(rule: ParserRule) -> dict[str, list[Path]]:
     found: list[list] = []
 
@@ -126,7 +143,7 @@ def _ref_feature_anchors(rule: ParserRule) -> dict[str, list[Path]]:
             isinstance(node, Group)
             and rising
             and sole is not _MIXED
-            and _is_region(node, sole, path == ())
+            and _ref_is_region(node, sole, path == ())
         ):
             for i in rising:
                 found[i][1] = path

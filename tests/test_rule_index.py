@@ -3,7 +3,8 @@
 ``_ref_paths`` (each feature's paths from ``assignments_of``),
 ``_ref_keyword_texts``, ``_ref_separators``, ``_ref_leading_keyword`` and
 ``_ref_braces`` are the extractor's rule facts before the index,
-``_ref_feature_context`` is its walk of each shared feature's anchor region,
+``_ref_feature_context`` is its walk of each shared feature's anchor region
+(with the terminators read at ADD_TERMINATOR's slots, written out),
 and ``_ref_feature_anchors`` (in ``test_rewrite``) is the anchor walk;
 they are kept as references only.  Dict facts are compared with their key
 order, which decides the order of the extractor's candidates.
@@ -106,14 +107,30 @@ def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> di
                 separator = n.children[0].text
             break
 
+    # A terminator is the non-brace keyword right after a slot where
+    # ADD_TERMINATOR puts one: in a group anchor after the feature's last
+    # assignment among its children, and after a bare anchor whose parent
+    # is a group.  Slots are read per holding group, in anchor order, and
+    # by ascending index within a group.
+    slots: dict[Path, set[int]] = {}
+    for anchor in index.anchors[feature]:
+        node = node_at(rule.body, anchor)
+        if isinstance(node, Group):
+            own = [
+                i for i, c in enumerate(node.children)
+                if isinstance(c, Assignment) and c.feature == feature
+            ]
+            if own:
+                slots.setdefault(anchor, set()).add(own[-1])
+        elif anchor and isinstance(node_at(rule.body, anchor[:-1]), Group):
+            slots.setdefault(anchor[:-1], set()).add(anchor[-1])
     terminators: list[str] = []
-    if isinstance(anchor_node, Group):
-        kids = anchor_node.children
-        for i, child in enumerate(kids):
-            if isinstance(child, Assignment) and child.feature == feature:
-                nxt = kids[i + 1] if i + 1 < len(kids) else None
-                if isinstance(nxt, Keyword) and not is_brace(nxt):
-                    terminators.append(nxt.text)
+    for holder, ends in slots.items():
+        kids = node_at(rule.body, holder).children
+        for i in sorted(ends):
+            nxt = kids[i + 1] if i + 1 < len(kids) else None
+            if isinstance(nxt, Keyword) and not is_brace(nxt):
+                terminators.append(nxt.text)
 
     calls: list[str | None] = []
     for p in paths:
@@ -138,7 +155,8 @@ def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> di
 
 def _feature_facts(rule: ParserRule, index: RuleIndex, feature: str) -> dict:
     """What ``extract._candidates`` compares of ``feature``, read as it
-    reads it: from the index, and from its first anchor's own children."""
+    reads it: from the index, its first anchor's cardinality and the
+    terminators at ADD_TERMINATOR's slots."""
     anchor = index.anchors[feature][0]
     node = node_at(rule.body, anchor)
     return dict(
@@ -147,7 +165,7 @@ def _feature_facts(rule: ParserRule, index: RuleIndex, feature: str) -> dict:
         cardinality=node.cardinality,
         separator=index.repeats.get(anchor),
         has_repetition=anchor in index.repeats,
-        terminators=tuple(_terminators(node, feature)),
+        terminators=tuple(_terminators(rule, index, feature)),
         terminal_calls=tuple(index.calls[feature]),
         before_braces=_before_braces(index, feature),
     )
