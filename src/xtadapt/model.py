@@ -204,8 +204,8 @@ def is_brace(expr: Expression) -> bool:
 
 
 def brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
-    """The brace region of a sequence: indices of its first balanced
-    ``'{'`` ... ``'}'`` keyword pair, or None."""
+    """A sequence's own braces, which REMOVE_BRACES drops from each group it
+    reaches: indices of the first balanced ``'{'`` ... ``'}'`` pair, or None."""
     depth = 0
     open_idx = -1
     for i, child in enumerate(children):
@@ -223,9 +223,26 @@ def brace_span(children: tuple[Expression, ...]) -> tuple[int, int] | None:
 
 
 def is_braced(expr: Expression) -> bool:
-    """Whether ``expr`` is a Group whose brace region spans all of it:
-    ``('{' a '}')`` is braced, ``('{' a '}' '{' b '}')`` is not."""
+    """One brace block, as the printer lays it out and a wrapped region reads:
+    a Group whose ``brace_span`` covers it all; ``('{' a '}' '{' b '}')`` is not."""
     return isinstance(expr, Group) and brace_span(expr.children) == (0, len(expr.children) - 1)
+
+
+def top_sequence(body: Expression) -> tuple[Expression, ...]:
+    """A rule body's top-level sequence: a plain Group body's children, else the body."""
+    return body.children if isinstance(body, Group) and body.plain else (body,)
+
+
+def brace_region(body: Expression) -> tuple[int, bool] | None:
+    """A rule body's rule-level brace region, or None: its index in the
+    ``top_sequence``, where the sequence's ``brace_span`` opens or an earlier
+    element ``is_braced``, and whether a group wraps it, as in ``('{' a '}')?``."""
+    sequence = top_sequence(body)
+    span = brace_span(sequence)
+    for i, child in enumerate(sequence if span is None else sequence[: span[0]]):
+        if is_braced(child):
+            return i, True
+    return None if span is None else (span[0], False)
 
 
 def walk(expr: Expression, path: Path = ()) -> Iterator[tuple[Path, Expression]]:

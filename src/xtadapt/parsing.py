@@ -765,10 +765,6 @@ def render_body_inline(expr: Expression) -> str:
     return _render_inline(expr, bare=True)
 
 
-def _is_braced_group(expr: Expression) -> bool:
-    return is_braced(expr) and not expr.predicated
-
-
 def _sequence_lines(children: tuple[Expression, ...], indent: int) -> list[str]:
     lines: list[str] = []
     level = indent
@@ -778,7 +774,7 @@ def _sequence_lines(children: tuple[Expression, ...], indent: int) -> list[str]:
         brace = child.text if is_brace(child) else None
         if brace == "}":
             level = max(indent, level - 1)
-        if _is_braced_group(child):
+        if is_braced(child) and not child.predicated:
             lines.extend(_braced_group_lines(child, level))
         elif (
             isinstance(child, Keyword)

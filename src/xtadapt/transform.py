@@ -24,14 +24,15 @@ from .model import (
     ParserRule,
     Path,
     RuleCall,
+    brace_region,
     brace_span,
     children_of,
     collapse,
     grammar_problems,
     is_brace,
-    is_braced,
     node_at,
     settle,
+    top_sequence,
     with_children,
 )
 from .parsing import keyword_quote, parse_rule_body, printable_keyword, printable_name
@@ -179,7 +180,8 @@ class RuleIndex:
     one bottom-up walk of its body: each feature's assignment ``paths`` and
     region ``anchors`` (keyed in order of first assignment), the non-brace
     ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
-    the body's ``braces`` region and the ``leading`` keyword, if any.
+    the body's ``brace_region`` (``braces``) and the ``leading`` keyword of
+    its top-level sequence, if any.
 
     Per feature it also holds the keyword right before the first assignment
     (``keyword_before``: the nearest non-brace sibling, if that is a keyword
@@ -298,10 +300,9 @@ class RuleIndex:
         self.keywords = keywords
         self.separators = separators
         self.keyword_before = keyword_before
-        children = body.children if kind is Group else (body,)
-        self.braces = _brace_region(children)
+        self.braces = brace_region(body)
         self.leading: str | None = None
-        for child in children:
+        for child in top_sequence(body):
             if isinstance(child, Keyword):
                 self.leading = None if is_brace(child) else child.text
             if isinstance(child, (Keyword, Assignment, Group)):
@@ -379,20 +380,6 @@ def _rewritten(rule: ParserRule, fn, anchors: list[Path]) -> tuple[ParserRule, i
     if body is None or not matched:
         return rule, 0
     return replace(rule, body=settle(body)), matched
-
-
-def _brace_region(children: tuple[Expression, ...]) -> tuple[int, bool] | None:
-    """Index of the rule-level brace region among a body's children, and
-    whether a group wraps it (as MAKE_BRACES_OPTIONAL leaves it): the first
-    child that opens the children's ``brace_span``, or a group whose own
-    ``brace_span`` covers all of it."""
-    span = brace_span(children)
-    for i, child in enumerate(children):
-        if span is not None and i == span[0]:
-            return i, False
-        if is_braced(child):
-            return i, True
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +567,8 @@ def _apply_promote_attribute(
     paths = index.paths.get(op.scope.feature or "")
     if not paths:
         return rule, 0
-    # Remove the first assignment and a keyword right before it, and insert
-    # it at the body root before the brace region (after the leading keyword)
-    # while the root is not yet collapsed, so a lone rest such as ``(a b)?``
-    # keeps its marks.  A removal that empties the rest matches nothing.
+    # Remove the first assignment and a keyword right before it, and insert it
+    # in the top-level sequence before the brace region; an emptied rest matches nothing.
     first = paths[0]
     promoted = replace(node_at(rule.body, first), predicated=False)
     remove = [first]
@@ -596,9 +581,11 @@ def _apply_promote_attribute(
             return None, 1
         if path or not node.children:
             return node, 0
-        region = _brace_region(node.children)
-        at = len(node.children) if region is None else region[0]
-        return replace(node, children=node.children[:at] + (promoted,) + node.children[at:]), 1
+        if not node.plain:  # the body is one element now, shaped as it reads back
+            node = collapse(node)
+        sequence, region = top_sequence(node), brace_region(node)
+        at = len(sequence) if region is None else region[0]
+        return Group(children=sequence[:at] + (promoted,) + sequence[at:]), 1
 
     new_rule, matched = _rewritten(rule, fn, remove)
     return new_rule, min(matched, 1)
@@ -608,11 +595,11 @@ def _apply_make_braces_optional(
     rule: ParserRule, op: TransformOp, index: RuleIndex | None
 ) -> tuple[ParserRule, int]:
     def fn(node: Expression, path: Path, inside: bool):
-        # With no anchors, only the body root comes here.
-        span = brace_span(node.children) if isinstance(node, Group) else None
-        if span is None:
+        # Only the body root comes here; a wrapped region is left as it is.
+        region = brace_region(node)
+        if region is None or region[1]:
             return node, 0
-        lo, hi = span
+        lo, hi = brace_span(node.children)
         wrapped = Group(children=node.children[lo : hi + 1], cardinality=Cardinality.OPTIONAL)
         return replace(node, children=node.children[:lo] + (wrapped,) + node.children[hi + 1 :]), 1
 

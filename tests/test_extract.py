@@ -20,7 +20,7 @@ import xtadapt.extract as extract
 import xtadapt.transform as transform
 from xtadapt.extract import ExtractionError, extract_config, infer_rule_ops
 from xtadapt.model import Grammar, ParserRule
-from xtadapt.parsing import parse_grammar, print_grammar, rule_signature
+from xtadapt.parsing import parse_grammar, print_grammar, print_rule, rule_signature
 from xtadapt.transform import (
     OpKind,
     TransformationConfig,
@@ -28,6 +28,7 @@ from xtadapt.transform import (
     TransformOp,
     apply_config,
     attribute_scope,
+    rule_scope,
 )
 
 
@@ -136,6 +137,33 @@ def test_terminators_after_generated_attributes_replay_on_an_evolved_rule():
     adapted, report = apply_config(result.config, g2)
     expected = parse_grammar("Mission: 'Mission' '{' 'uuid' uuid=UUID ';' 'name' name=ID ';' 'extra' extra=ID '}';")
     assert grammar_body_tokens(adapted) == grammar_body_tokens(expected)
+    assert report.warnings == []
+
+
+def test_a_braces_wrapper_body_extracts_without_fallback():
+    """MAKE_BRACES_OPTIONAL and then the leading keyword's removal settle
+    the body to the optional braces wrapper.  Its rule-level brace region
+    reads wrapped, so extract writes both ops, not a fallback, and their
+    replay on an evolved rule keeps the attribute that the evolution added."""
+    g1 = load_grammar("requirement_generated.xtext")
+    scope = rule_scope("Requirement")
+    ops = (
+        TransformOp(OpKind.MAKE_BRACES_OPTIONAL, scope),
+        TransformOp(OpKind.REMOVE_KEYWORD, scope, {"text": "Requirement"}),
+    )
+    g1prime, _ = apply_config(TransformationConfig(ops), g1)
+    assert print_rule(g1prime.rules[0]).startswith("Requirement returns Requirement:\n    ('{'")
+    result = extract_config(g1, g1prime)
+    assert result.fallback_count == 0
+    assert result.config.entries == ops
+    adapted, _ = apply_config(result.config, g1)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(g1prime)
+    g2 = parse_grammar(
+        "Requirement: 'Requirement' '{' ('id' id=ID)? ('text' text=STRING)? ('extra' extra=ID)? '}';"
+    )
+    adapted, report = apply_config(result.config, g2)
+    expected = parse_grammar("Requirement: ('{' ('id' id=ID)? ('text' text=STRING)? ('extra' extra=ID)? '}')?;")
+    assert adapted == expected
     assert report.warnings == []
 
 

@@ -16,6 +16,7 @@ from xtadapt.model import (
     Keyword,
     ParserRule,
     RuleCall,
+    brace_region,
     brace_span,
     grammar_problems,
     is_brace,
@@ -25,8 +26,8 @@ from xtadapt.model import (
 )
 from xtadapt.evaluate import evaluate
 from xtadapt.extract import extract_config
-from xtadapt.parsing import _is_braced_group, parse_grammar
-from xtadapt.transform import CATALOG, _brace_region, apply_config
+from xtadapt.parsing import parse_grammar
+from xtadapt.transform import CATALOG, apply_config
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,17 @@ def _ref_promote_insert_at(children):
     return len(children)
 
 
+def _is_braced_group(expr):
+    """The printer's block layout test, written out in ``_sequence_lines``."""
+    return is_braced(expr) and not expr.predicated
+
+
+def _brace_region(children):
+    """The rule-level brace region of a body whose top-level sequence is
+    ``children``."""
+    return brace_region(Group(children=children))
+
+
 def _balanced(children):
     """Every brace keyword closes one opened before it, and all close."""
     depth = 0
@@ -269,6 +281,21 @@ def test_is_braced_is_the_one_braced_group_test():
     assert not is_braced(Group(children=()))
     assert not is_braced(lb)
     assert _brace_region((Keyword(text="k"), braced)) == (1, True)
+
+
+def test_a_braces_wrapper_body_is_a_wrapped_region():
+    """The rule-level region is sought in the body's top-level sequence:
+    a plain group's children, else the body alone.  So a body that is the
+    braces wrapper reads ``(0, True)``, and a marked group that is not one
+    brace block holds no rule-level region."""
+    lb, rb, a = Keyword(text="{"), Keyword(text="}"), RuleCall(rule_name="a")
+    wrapper = Group(children=(lb, a, rb), cardinality=Cardinality.OPTIONAL)
+    assert brace_region(wrapper) == (0, True)
+    assert brace_region(replace(wrapper, predicated=True)) == (0, True)
+    assert brace_region(replace(wrapper, cardinality=Cardinality.ONE)) == (0, False)
+    assert brace_region(Group(children=(Keyword(text="k"), wrapper))) == (1, True)
+    assert brace_region(Group(children=(lb, a, rb, a), cardinality=Cardinality.OPTIONAL)) is None
+    assert brace_region(lb) is None
 
 
 # -- slotted values -------------------------------------------------------------

@@ -690,3 +690,13 @@ def test_token_distance_matches_full_matrix(data):
     assert token_distance(a, b) == _reference_distance(a, b)
     assert token_distance(left, right) == _reference_distance(left, right)
     assert token_distance(b, a) == token_distance(a, b)
+
+
+def test_token_distance_on_fixed_long_spans():
+    """Seeded spans of 120 to 130 tokens over the 6-token alphabet carry the
+    bit vectors past 64 bits in every run, and a failure has no search to
+    shrink: the quick, steady check that the bit-vector kernel is exact."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        a, b = ([rng.choice(_ALPHABETS[1]) for _ in range(rng.randint(120, 130))] for _ in range(2))
+        assert token_distance(a, b) == _reference_distance(a, b), seed

@@ -53,6 +53,7 @@ from xtadapt.model import (
     ParserRule,
     Path,
     RuleCall,
+    brace_region,
     brace_span,
     children_of,
     is_brace,
@@ -69,7 +70,6 @@ from xtadapt.transform import (
     Scope,
     ScopeKind,
     TransformOp,
-    _brace_region,
     _is_word,
     _sibling_of_anchor,
     attribute_scope,
@@ -461,11 +461,17 @@ def _ref_apply_promote_attribute(rule: ParserRule, op: TransformOp) -> tuple[Par
     body = _ref_remove_at(body, parent_path, remove)
     if not children_of(body):
         return rule, 0
-    region = _brace_region(body.children)
-    insert_at = len(body.children) if region is None else region[0]
+    # The promoted assignment joins the top-level sequence.  A marked body,
+    # such as a braces wrapper, stays one element, collapsed as a child is,
+    # and the assignment goes before it when it is the brace region.
+    if not body.plain:
+        body = _ref_collapse(body, True)
+    sequence = body.children if body.plain else (body,)
+    region = brace_region(body)
+    insert_at = len(sequence) if region is None else region[0]
     promoted = replace(assignment, predicated=False)
-    new_children = body.children[:insert_at] + (promoted,) + body.children[insert_at:]
-    return replace(rule, body=replace(body, children=new_children)), 1
+    new_children = sequence[:insert_at] + (promoted,) + sequence[insert_at:]
+    return replace(rule, body=Group(children=new_children)), 1
 
 
 _REFERENCE = {

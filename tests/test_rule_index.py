@@ -28,12 +28,14 @@ from xtadapt.model import (
     ParserRule,
     Path,
     RuleCall,
+    brace_span,
     children_of,
     is_brace,
+    is_braced,
     node_at,
     walk,
 )
-from xtadapt.transform import RuleIndex, _brace_region
+from xtadapt.transform import RuleIndex
 
 
 def _ref_paths(rule: ParserRule) -> dict[str, list[Path]]:
@@ -59,7 +61,10 @@ def _ref_separators(rule: ParserRule) -> set[str]:
 
 
 def _body_children(rule: ParserRule):
-    return rule.body.children if isinstance(rule.body, Group) else (rule.body,)
+    """The body's top-level sequence: a braces wrapper body is one element."""
+    body = rule.body
+    plain = isinstance(body, Group) and body.cardinality is Cardinality.ONE and not body.predicated
+    return body.children if plain else (body,)
 
 
 def _ref_leading_keyword(rule: ParserRule) -> str | None:
@@ -72,7 +77,14 @@ def _ref_leading_keyword(rule: ParserRule) -> str | None:
 
 
 def _ref_braces(rule: ParserRule) -> tuple[int, bool] | None:
-    return _brace_region(_body_children(rule))
+    children = _body_children(rule)
+    span = brace_span(children)
+    for i, child in enumerate(children):
+        if span is not None and i == span[0]:
+            return i, False
+        if is_braced(child):
+            return i, True
+    return None
 
 
 def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> dict:

@@ -253,6 +253,63 @@ def test_remove_braces_inside_the_optional_wrapper_prints_what_it_holds():
     assert parse_grammar(print_grammar(adapted)) == adapted
 
 
+def test_promote_attribute_on_a_braces_wrapper_body_lands_before_it():
+    """A body that is the optional braces wrapper is one element of the
+    rule's top-level sequence: the promoted assignment goes before it and is
+    required, as it is after a leading keyword."""
+    grammar = parse_grammar(
+        "R: ('{' ('a' a=ID)? 'b' b=ID '}')?;\n\nS: 'S' ('{' ('a' a=ID)? 'b' b=ID '}')?;"
+    )
+    config = TransformationConfig(
+        entries=tuple(
+            op(OpKind.PROMOTE_ATTRIBUTE, attribute_scope(rule, "b"), anchor="BEFORE_BRACES")
+            for rule in ("R", "S")
+        )
+    )
+    adapted, report = apply_config(config, grammar)
+    assert adapted == parse_grammar(
+        "R: b=ID ('{' ('a' a=ID)? '}')?;\n\nS: 'S' b=ID ('{' ('a' a=ID)? '}')?;"
+    )
+    assert [o.matched for o in report.outcomes] == [1, 1]
+
+
+def test_promote_attribute_out_of_a_marked_body_leaves_a_rest_that_reads_back():
+    """The rest of a marked body becomes one element of the new sequence, in
+    the shape its printing parses back to: ``(('k' x=A))?`` is ``('k' x=A)?``."""
+    grammar = parse_grammar("R: (x=[T|ID] ('k' x=A))?;")
+    promote = op(OpKind.PROMOTE_ATTRIBUTE, attribute_scope("R", "x"), anchor="BEFORE_BRACES")
+    adapted, report = apply_config(TransformationConfig(entries=(promote,)), grammar)
+    assert adapted == parse_grammar("R: ('k' x=A)? x=[T|ID];")
+    assert parse_grammar(print_grammar(adapted)) == adapted
+    assert [o.matched for o in report.outcomes] == [1]
+
+
+def test_make_braces_optional_on_a_wrapped_region_matches_nothing():
+    """The braces are optional already, whether the wrapper is the whole
+    body or follows a leading keyword: no match, and no double wrap."""
+    grammar = parse_grammar("R: ('{' 'a' a=ID '}')?;\n\nS: 'S' ('{' 'a' a=ID '}')?;")
+    config = TransformationConfig(
+        entries=tuple(op(OpKind.MAKE_BRACES_OPTIONAL, rule_scope(rule)) for rule in ("R", "S"))
+    )
+    adapted, report = apply_config(config, grammar)
+    assert adapted == grammar
+    assert [o.matched for o in report.outcomes] == [0, 0]
+
+
+def test_make_braces_optional_wraps_only_the_rule_level_region():
+    """Braces in a nested group or in an alternative are not the rule's
+    brace region: the nested pair stays as it is, and a rule whose body is
+    a choice has no region to wrap."""
+    grammar = parse_grammar("R: 'R' '{' (x=ID '{' y=ID '}') '}';\n\nS: 'a' '{' a=ID '}' | 'b';")
+    config = TransformationConfig(
+        entries=tuple(op(OpKind.MAKE_BRACES_OPTIONAL, rule_scope(rule)) for rule in ("R", "S"))
+    )
+    adapted, report = apply_config(config, grammar)
+    expected = parse_grammar("R: 'R' ('{' (x=ID '{' y=ID '}') '}')?;\n\nS: 'a' '{' a=ID '}' | 'b';")
+    assert adapted == expected
+    assert [o.matched for o in report.outcomes] == [1, 0]
+
+
 def test_phase_order_bounds_example():
     grammar = parse_grammar(
         "X: 'bounds' '{' bounds+=XGenericType ( \",\" bounds+=XGenericType)* '}';"
