@@ -3,16 +3,38 @@
 The model keeps no whitespace and no comments, so structural equality of two
 grammars is whitespace-independent by construction.  Every node is a slotted
 frozen dataclass; rewrites build new trees and never mutate, which makes
-grammars safe to share across threads.
+grammars safe to share across threads.  Nodes stay frozen, but their
+``__init__`` writes each slot through its descriptor (see ``_node``), and
+``Assignment``'s default terminal is one shared ``RuleCall('ID')``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterator
 
 Path = tuple[int, ...]
+
+
+def _node(cls):
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__``, of the same
+    parameters, sets each field by its slot descriptor, not object.__setattr__."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, positional, keyword, body = {}, ["self"], ["*"], []
+    for f in fields(cls):
+        env["set_" + f.name], env["default_" + f.name] = getattr(cls, f.name).__set__, f.default
+        param = f.name if f.default is MISSING else f"{f.name}=default_{f.name}"
+        (keyword if f.kw_only else positional).append(param)
+        body.append(f"set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    params = ", ".join(positional + keyword if len(keyword) > 1 else positional)
+    source = f"def __init__({params}): {'; '.join(body)}"
+    exec(f"def make({', '.join(env)}):\n {source}\n return __init__", scope := {})
+    cls.__init__ = scope["make"](**env)
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
 
 
 class Cardinality(Enum):
@@ -24,7 +46,7 @@ class Cardinality(Enum):
     PLUS = "+"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Expression:
     """Base of the closed expression variant set.
 
@@ -41,7 +63,7 @@ class Expression:
         return self.cardinality is Cardinality.ONE and not self.predicated
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Keyword(Expression):
     """A quoted literal such as ``'Mission'`` or ``","``.
 
@@ -53,12 +75,12 @@ class Keyword(Expression):
     quote: str = "'"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class RuleCall(Expression):
     rule_name: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class CrossReference(Expression):
     """``[Type|Terminal]`` reference to an existing model element.
 
@@ -71,23 +93,23 @@ class CrossReference(Expression):
     terminal_name: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ActionAnnotation(Expression):
     """The ``{Port}`` instantiation marker."""
 
     type_name: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Assignment(Expression):
     """``feature=X``, ``feature+=X`` or ``feature?='kw'``."""
 
     feature: str = ""
     operator: str = "="
-    terminal: Expression = field(default_factory=lambda: RuleCall(rule_name="ID"))
+    terminal: Expression = RuleCall(rule_name="ID")  # immutable, so one shared default
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Group(Expression):
     """Ordered sequence of sub-expressions; parenthesized when nested."""
 
@@ -98,7 +120,7 @@ class Group(Expression):
             object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Alternatives(Expression):
     branches: tuple[Expression, ...] = ()
 
@@ -107,13 +129,13 @@ class Alternatives(Expression):
             object.__setattr__(self, "branches", tuple(self.branches))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TerminalDecl:
     name: str
     body_text: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ParserRule:
     """A parser rule; ``enum`` marks an ``enum Name: ...;`` rule."""
 
@@ -123,7 +145,7 @@ class ParserRule:
     enum: bool = field(default=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Grammar:
     name: str = ""
     header_text: str = ""
@@ -152,13 +174,15 @@ def children_of(expr: Expression) -> tuple[Expression, ...]:
 def with_children(expr: Expression, children: tuple[Expression, ...]) -> Expression:
     """Rebuild ``expr`` with a new child tuple (same kind, same attributes)."""
     if isinstance(expr, Group):
-        return replace(expr, children=children)
+        return Group(children, cardinality=expr.cardinality, predicated=expr.predicated)
     if isinstance(expr, Alternatives):
-        return replace(expr, branches=children)
+        return Alternatives(children, cardinality=expr.cardinality, predicated=expr.predicated)
     if isinstance(expr, Assignment):
         if len(children) != 1:
             raise ValueError("assignment takes exactly one terminal")
-        return replace(expr, terminal=children[0])
+        return Assignment(
+            expr.feature, expr.operator, children[0],
+            cardinality=expr.cardinality, predicated=expr.predicated)
     if children:
         raise ValueError(f"{type(expr).__name__} has no children")
     return expr

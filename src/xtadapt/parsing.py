@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     ASSIGN_OPERATORS,
@@ -393,27 +393,27 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_alternatives(self, depth: int) -> Expression:
+        branches = self.parse_branches(depth)
+        if len(branches) == 1:
+            return _sequence(branches[0])
+        return Alternatives(tuple(map(_sequence, branches)))
+
+    def parse_branches(self, depth: int) -> list[list[Expression]]:
+        """The elements of each ``|``-separated branch, for the caller to build."""
         if depth > MAX_NESTING_DEPTH:
             self.abort(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
-        branches = [self.parse_branch(depth)]
         texts = self.texts
-        while texts[self.pos] == "|":
+        branches: list[list[Expression]] = []
+        while True:
+            elements: list[Expression] = []
+            while texts[self.pos] not in _BRANCH_END:
+                elements.append(self.parse_element(depth))
+            if not elements:
+                self.abort("empty group or alternative")
+            branches.append(elements)
+            if texts[self.pos] != "|":
+                return branches
             self.pos += 1
-            branches.append(self.parse_branch(depth))
-        if len(branches) == 1:
-            return branches[0]
-        return Alternatives(branches=tuple(branches))
-
-    def parse_branch(self, depth: int) -> Expression:
-        elements: list[Expression] = []
-        texts = self.texts
-        while texts[self.pos] not in _BRANCH_END:
-            elements.append(self.parse_element(depth))
-        if not elements:
-            self.abort("empty group or alternative")
-        if len(elements) == 1:
-            return settle(elements[0])
-        return Group(children=tuple(elements))
 
     def parse_element(self, depth: int) -> Expression:
         """An optional ``=>``, a primary and its optional suffix, built as
@@ -439,20 +439,21 @@ class _Parser:
             return self.leaf(self.parse_qualified_name("rule call"), self.suffix(), predicated)
         if text == "(":
             self.pos += 1
-            inner = self.parse_alternatives(depth + 1)
+            branches = self.parse_branches(depth + 1)
             if texts[self.pos] != ")":
                 self.abort("unbalanced '(': missing ')'", start)
             self.pos += 1
-            card = self.cardinality()
-            if not (isinstance(inner, (Alternatives, Group)) and inner.plain):
-                # A single node keeps its parens, and so does one that
-                # carries its own suffix or predicate: `(X?)?` has two levels.
-                return Group(children=(inner,), cardinality=card, predicated=predicated)
-            if card is Cardinality.ONE and not predicated:
-                return inner
-            if isinstance(inner, Group):
-                return Group(children=inner.children, cardinality=card, predicated=predicated)
-            return Alternatives(branches=inner.branches, cardinality=card, predicated=predicated)
+            marks = {"cardinality": self.cardinality(), "predicated": predicated}
+            if len(branches) > 1:
+                return Alternatives(tuple(map(_sequence, branches)), **marks)
+            if len(branches[0]) > 1:
+                return Group(tuple(branches[0]), **marks)
+            only = settle(branches[0][0])
+            if isinstance(only, (Alternatives, Group)) and only.plain:
+                return replace(only, **marks)  # `((a b))?` reads as `(a b)?`
+            # A single node keeps its parens, and so does one that carries
+            # its own suffix or predicate: `(X?)?` has two levels.
+            return Group((only,), **marks)
         if text == "{":
             self.pos += 1
             if self.kinds[self.pos] is not _IDENT:
@@ -508,6 +509,11 @@ class _Parser:
             self.abort(f"malformed assignment to {feature!r}: missing terminal")
         self.abort(f"malformed assignment to {feature!r}: bad terminal {text!r}", pos)
         raise AssertionError("unreachable")
+
+
+def _sequence(elements: list[Expression]) -> Expression:
+    """A branch's elements as one node: a Group, or the settled only element."""
+    return settle(elements[0]) if len(elements) == 1 else Group(tuple(elements))
 
 
 def _split_header(text: str) -> tuple[str, str, int]:

@@ -379,7 +379,7 @@ def _rewritten(rule: ParserRule, fn, anchors: list[Path]) -> tuple[ParserRule, i
     body, matched = _rewrite(rule.body, (), fn, reach)
     if body is None or not matched:
         return rule, 0
-    return replace(rule, body=settle(body)), matched
+    return ParserRule(rule.name, rule.returns_type, settle(body), enum=rule.enum), matched
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ MUTANTS = (
     Mutant(
         "_rewritten does not settle the rewritten body",
         "transform.py",
-        "return replace(rule, body=settle(body)), matched",
-        "return replace(rule, body=body), matched",
+        "ParserRule(rule.name, rule.returns_type, settle(body), enum=rule.enum), matched",
+        "ParserRule(rule.name, rule.returns_type, body, enum=rule.enum), matched",
         ("tests/test_rewrite.py::test_drawn_rules_agree_with_the_reference",),
     ),
     Mutant(
@@ -183,6 +183,27 @@ MUTANTS = (
         "if region is None or region[1]:",
         "if region is None:",
         ("tests/test_transform.py::test_make_braces_optional_on_a_wrapped_region_matches_nothing",),
+    ),
+    Mutant(
+        "a node's __init__ skips __post_init__",
+        "model.py",
+        '        body.append("self.__post_init__()")\n',
+        "        pass\n",
+        ("tests/test_model.py::test_group_and_alternatives_turn_a_list_into_a_tuple",),
+    ),
+    Mutant(
+        "the parser builds a multi-element group plain, then again with its marks",
+        "parsing.py",
+        "return Group(tuple(branches[0]), **marks)",
+        "return replace(Group(tuple(branches[0])), **marks)",
+        ("tests/test_parsing.py::test_the_parser_builds_one_group_per_parenthesized_group",),
+    ),
+    Mutant(
+        "a node's __init__ takes its keyword-only fields positionally too",
+        "model.py",
+        'params = ", ".join(positional + keyword if len(keyword) > 1 else positional)',
+        'params = ", ".join(positional + keyword[1:])',
+        ("tests/test_model.py::test_init_takes_the_stdlib_parameters",),
     ),
     Mutant(
         "HttpBackend lets a ValueError or RecursionError through",

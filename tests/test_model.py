@@ -1,23 +1,30 @@
 import copy
+import inspect
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, field, fields, make_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import assignments_of, find_rule, load_grammar, load_pair
+from test_parsing import _odd_expression_strategy
 from xtadapt.model import (
+    ActionAnnotation,
     Alternatives,
     Assignment,
     Cardinality,
+    CrossReference,
+    Expression,
     Grammar,
     Group,
     Keyword,
     ParserRule,
     RuleCall,
+    TerminalDecl,
     brace_region,
     brace_span,
+    children_of,
     grammar_problems,
     is_brace,
     is_braced,
@@ -342,3 +349,117 @@ def test_one_parse_shares_equal_names():
     (_, first), (_, second) = (assignments_of(rule)[0] for rule in grammar.rules)
     assert first.feature == second.feature == "name"
     assert first.feature is second.feature
+
+
+# -- construction ----------------------------------------------------------------
+
+MODEL_CLASSES = (
+    Expression, Keyword, RuleCall, CrossReference, ActionAnnotation, Assignment, Group,
+    Alternatives, TerminalDecl, ParserRule, Grammar,
+)
+
+
+def _stdlib_reference(cls):
+    """A stdlib ``dataclass(frozen=True, slots=True)`` rebuilt from ``cls``'s
+    fields, with its ``__post_init__``: what ``cls`` is but for ``__init__``."""
+    spec = [
+        (f.name, f.type, field(
+            default=f.default, default_factory=f.default_factory, kw_only=f.kw_only))
+        for f in fields(cls)
+    ]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True, slots=True)
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+@pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
+def test_init_takes_the_stdlib_parameters(cls):
+    """Names, kinds (keyword-only included) and defaults, in order."""
+    assert _parameters(cls) == _parameters(_stdlib_reference(cls))
+
+
+def test_assignment_default_terminal_is_one_shared_id_call():
+    """The one change from a stdlib-built model: a shared default, not a factory."""
+    assert Assignment().terminal == RuleCall(rule_name="ID")
+    assert Assignment().terminal is Assignment(feature="x").terminal
+
+
+_SAMPLES = [
+    (Expression, (), {}),
+    (Keyword, ("Mission",), {"quote": '"', "cardinality": Cardinality.OPTIONAL}),
+    (RuleCall, ("ID",), {"predicated": True}),
+    (CrossReference, ("p::T", "ID"), {}),
+    (CrossReference, (), {"type_name": "T"}),
+    (ActionAnnotation, ("Port",), {"cardinality": Cardinality.STAR}),
+    (Assignment, ("items", "+="), {}),
+    (Assignment, (), {"feature": "flag", "operator": "?=", "terminal": Keyword("flag")}),
+    (Group, ([Keyword("a"), RuleCall("B")],), {"cardinality": Cardinality.PLUS}),
+    (Group, (), {"children": (Keyword("a"),), "predicated": True}),
+    (Alternatives, ([Keyword("a"), RuleCall("B")],), {"predicated": True}),
+    (TerminalDecl, ("ID",), {}),
+    (TerminalDecl, (), {"name": "INT", "body_text": "('0'..'9')+"}),
+    (ParserRule, ("R", None, Keyword("r")), {"enum": True}),
+    (ParserRule, ("R", "T"), {"body": RuleCall("ID")}),
+    (Grammar, ("G", "grammar G", [TerminalDecl("ID")], [ParserRule("R", None, Keyword("r"))]), {}),
+    (Grammar, (), {"rules": [ParserRule("R", None, Keyword("r"))]}),
+]
+_SAMPLE_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(_SAMPLES)]
+
+
+@pytest.mark.parametrize("cls,args,kwargs", _SAMPLES, ids=_SAMPLE_IDS)
+def test_init_builds_what_the_stdlib_init_builds(cls, args, kwargs):
+    node = cls(*args, **kwargs)
+    reference = cls.__new__(cls)
+    _stdlib_reference(cls).__init__(reference, *args, **kwargs)
+    assert node == reference
+    assert hash(node) == hash(reference)
+    assert repr(node) == repr(reference)
+    for f in fields(cls):
+        assert type(getattr(node, f.name)) is type(getattr(reference, f.name)), f.name
+
+
+@pytest.mark.parametrize("cls,args,kwargs", _SAMPLES, ids=_SAMPLE_IDS)
+def test_nodes_stay_frozen_and_round_trip(cls, args, kwargs):
+    node = cls(*args, **kwargs)
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, f.name, getattr(node, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, f.name)
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+    assert replace(node) == node
+
+
+def _rebuilt(expr):
+    """``expr`` rebuilt node by node through the constructors, child lists
+    passed as lists."""
+    values = {f.name: getattr(expr, f.name) for f in fields(expr)}
+    kids = [_rebuilt(child) for child in children_of(expr)]
+    if isinstance(expr, Group):
+        values["children"] = kids
+    elif isinstance(expr, Alternatives):
+        values["branches"] = kids
+    elif isinstance(expr, Assignment):
+        values["terminal"] = kids[0]
+    return type(expr)(**values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_odd_expression_strategy())
+def test_drawn_trees_rebuilt_through_the_constructors_are_equal(body):
+    rule = ParserRule("R", None, body)
+    grammar = Grammar("G", "", (TerminalDecl("ID"),), (rule,))
+    rebuilt = Grammar(
+        grammar.name, grammar.header_text, list(grammar.declared_terminals),
+        [ParserRule(rule.name, rule.returns_type, _rebuilt(rule.body), enum=rule.enum)],
+    )
+    assert rebuilt == grammar
+    assert hash(rebuilt) == hash(grammar)
+    assert repr(rebuilt) == repr(grammar)
+    assert not {id(node) for _, node in walk(body)} & {
+        id(node) for _, node in walk(rebuilt.rules[0].body)
+    }

@@ -204,6 +204,62 @@ def test_parse_rule_body_fragment():
     assert isinstance(body.children[0], Keyword)
 
 
+# -- one node per parenthesized group --------------------------------------------
+
+
+def _counting_groups(monkeypatch) -> list[Group]:
+    """The Groups built from here on, ``dataclasses.replace`` copies included."""
+    built: list[Group] = []
+    init = Group.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "__init__", counting)
+    return built
+
+
+def test_the_parser_builds_one_group_per_parenthesized_group(monkeypatch):
+    built = _counting_groups(monkeypatch)
+    grammar = parse_grammar("R: ('a' a=ID)? ('b' b+=ID (',' b+=ID)*)?;")
+    # three parenthesized groups and the body's sequence, each built once
+    assert len(built) == 4
+    a, b, comma = (Keyword(text=t) for t in "ab,")
+    opt, star = Cardinality.OPTIONAL, Cardinality.STAR
+    b_items = Assignment(feature="b", operator="+=")
+    expected = Group(children=(
+        Group(children=(a, Assignment(feature="a")), cardinality=opt),
+        Group(children=(b, b_items, Group(children=(comma, b_items), cardinality=star)),
+              cardinality=opt),
+    ))
+    assert grammar == Grammar(rules=(ParserRule("R", None, expected),))
+
+
+_a, _b, _x = (RuleCall(rule_name=name) for name in "abx")
+
+
+@pytest.mark.parametrize(
+    "shape,node,groups",
+    [
+        ("((a b))?", Group(children=(_a, _b), cardinality=Cardinality.OPTIONAL), 2),
+        ("((a|b))*", Alternatives(branches=(_a, _b), cardinality=Cardinality.STAR), 0),
+        ("(x)", Group(children=(_x,)), 1),
+        ("(x?)?", Group(children=(replace(_x, cardinality=Cardinality.OPTIONAL),),
+                        cardinality=Cardinality.OPTIONAL), 1),
+        ("((a))", Group(children=(_a,)), 2),
+        ("=>(a b)", Group(children=(_a, _b), predicated=True), 1),
+    ],
+)
+def test_rare_parenthesized_shapes_parse_to_written_out_trees(monkeypatch, shape, node, groups):
+    """Each shape after a keyword, so that the body keeps it as written; the
+    Groups built are one per parenthesized Group and the body's sequence."""
+    built = _counting_groups(monkeypatch)
+    body = parse_rule_body("'k' " + shape)
+    assert len(built) == groups + 1
+    assert body == Group(children=(Keyword(text="k"), node))
+
+
 # -- print ------------------------------------------------------------------
 
 
