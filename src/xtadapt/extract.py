@@ -17,6 +17,7 @@ from .model import (
     Grammar,
     Keyword,
     ParserRule,
+    RuleCall,
     is_brace,
     node_at,
 )
@@ -71,6 +72,13 @@ def _terminators(rule: ParserRule, index: RuleIndex, feature: str) -> list[str]:
     return found
 
 
+def _keywords_missing(index: RuleIndex, other: RuleIndex) -> list[str]:
+    """``index``'s keywords that ``other`` lacks, once each in order of first
+    appearance, without ``index``'s repetition separators."""
+    missing = set(index.keywords).difference(other.keywords, index.separators)
+    return sorted(missing, key=index.keywords.index)
+
+
 def _candidates(
     src: ParserRule, dst: ParserRule, src_index: RuleIndex, dst_index: RuleIndex
 ) -> list[TransformOp]:
@@ -81,8 +89,6 @@ def _candidates(
         op = TransformOp(kind, scope, params or {})
         if op not in ops:
             ops.append(op)
-
-    dst_keywords = set(dst_index.keywords)
 
     for feature in src_index.paths:
         if feature not in dst_index.paths:
@@ -118,9 +124,13 @@ def _candidates(
         for term in _terminators(dst, dst_index, feature):
             if term not in s_terminators:
                 add(OpKind.ADD_TERMINATOR, scope, {"text": term})
-        for s_call, d_call in zip(src_index.calls[feature], dst_index.calls[feature]):
-            if s_call and d_call and s_call != d_call:
-                add(OpKind.CHANGE_CALLED_RULE, scope, {"from": s_call, "to": d_call})
+        for s_term, d_term in zip(src_index.terminals[feature], dst_index.terminals[feature]):
+            kinds = type(s_term), type(d_term)
+            if kinds == (RuleCall, RuleCall) and s_term.rule_name != d_term.rule_name:
+                params = {"from": s_term.rule_name, "to": d_term.rule_name}
+                add(OpKind.CHANGE_CALLED_RULE, scope, params)
+            if kinds == (Keyword, Keyword) and s_term.text != d_term.text:
+                add(OpKind.RENAME_KEYWORD, scope, {"from": s_term.text, "to": d_term.text})
 
     # Rule-level structure.
     src_brace, dst_brace = src_index.braces, dst_index.braces
@@ -130,21 +140,14 @@ def _candidates(
         if dst_brace is None:
             add(OpKind.REMOVE_BRACES, rule_scope(name))
 
-    src_lead, dst_lead = src_index.leading, dst_index.leading
-    if src_lead is not None and src_lead not in dst_keywords:
-        if dst_lead is not None and dst_lead not in src_index.keywords:
-            add(
-                OpKind.RENAME_KEYWORD,
-                rule_scope(name),
-                {"from": src_lead, "to": dst_lead},
-            )
-        add(OpKind.REMOVE_KEYWORD, rule_scope(name), {"text": src_lead})
-
-    # Generic sweep for leftover keyword deletions; repetition separators are
-    # excluded so CHANGE_SEPARATOR keeps ownership of them.
-    for text in src_index.keywords:
-        if text not in dst_keywords and text not in src_index.separators:
-            add(OpKind.REMOVE_KEYWORD, rule_scope(name), {"text": text})
+    # The keywords only one side has, repetition separators aside (those are
+    # CHANGE_SEPARATOR's): paired in order as renames, and each source-only
+    # one as a removal.  The greedy search turns down a bad pairing.
+    src_only = _keywords_missing(src_index, dst_index)
+    for old, new in zip(src_only, _keywords_missing(dst_index, src_index)):
+        add(OpKind.RENAME_KEYWORD, rule_scope(name), {"from": old, "to": new})
+    for text in src_only:
+        add(OpKind.REMOVE_KEYWORD, rule_scope(name), {"text": text})
 
     ops.sort(key=lambda op: CATALOG[op.kind].phase)
     return ops

@@ -179,17 +179,16 @@ class RuleIndex:
     """What scope resolution and the extractor read of one rule state, from
     one bottom-up walk of its body: each feature's assignment ``paths`` and
     region ``anchors`` (keyed in order of first assignment), the non-brace
-    ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups,
-    the body's ``brace_region`` (``braces``) and the ``leading`` keyword of
-    its top-level sequence, if any.
+    ``keywords`` in pre-order, the ``separators`` opening ``*``/``+`` groups
+    and the body's ``brace_region`` (``braces``).
 
     Per feature it also holds the keyword right before the first assignment
     (``keyword_before``: the nearest non-brace sibling, if that is a keyword
-    other than the rule's name, else None) and each assignment's called
-    rule (``calls``, None for a terminal that is no rule call); per anchor,
-    whether its subtree holds a brace keyword (the ``braced`` set) and, if
-    it holds a ``*``/``+`` group, the separator of the first one in
-    pre-order (``repeats``, None for a group without one).
+    other than the rule's name, else None) and each assignment's terminal
+    node (``terminals``); per anchor, whether its subtree holds a brace
+    keyword (the ``braced`` set) and, if it holds a ``*``/``+`` group, the
+    separator of the first one in pre-order (``repeats``, None for a group
+    without one).
 
     A feature's anchor, per assignment, is the highest enclosing Group all
     of whose assignments target the feature (the repetition/optionality
@@ -199,12 +198,12 @@ class RuleIndex:
     at the whole body."""
 
     __slots__ = (
-        "paths", "anchors", "keywords", "separators", "braces", "leading",
-        "keyword_before", "calls", "braced", "repeats",
+        "paths", "anchors", "keywords", "separators", "braces",
+        "keyword_before", "terminals", "braced", "repeats",
     )
 
     def __init__(self, rule: ParserRule):
-        # [feature, path, call, anchor, braced, repeat] per assignment, in pre-order
+        # [feature, path, terminal, anchor, braced, repeat] per assignment, in pre-order
         found: list[list] = []
         keywords: list[str] = []
         separators: set[str] = set()
@@ -220,8 +219,7 @@ class RuleIndex:
             kind = type(node)
             if kind is Assignment:
                 sole, own = node.feature, [len(found)]
-                call = node.terminal.rule_name if type(node.terminal) is RuleCall else None
-                found.append([node.feature, path, call, path, False, None])
+                found.append([node.feature, path, node.terminal, path, False, None])
                 keyword_before.setdefault(node.feature, before)
                 kids: tuple[Expression, ...] = (node.terminal,)
             elif kind is Group:
@@ -284,12 +282,12 @@ class RuleIndex:
             keywords.append(body.text)
         self.paths: dict[str, list[Path]] = {}
         self.anchors: dict[str, list[Path]] = {}
-        self.calls: dict[str, list[str | None]] = {}
+        self.terminals: dict[str, list[Expression]] = {}
         self.braced: set[Path] = set()
         self.repeats: dict[Path, str | None] = {}
-        for feature, path, call, anchor, braced, repeat in found:
+        for feature, path, terminal, anchor, braced, repeat in found:
             self.paths.setdefault(feature, []).append(path)
-            self.calls.setdefault(feature, []).append(call)
+            self.terminals.setdefault(feature, []).append(terminal)
             seen = self.anchors.setdefault(feature, [])
             if anchor not in seen:
                 seen.append(anchor)
@@ -301,12 +299,6 @@ class RuleIndex:
         self.separators = separators
         self.keyword_before = keyword_before
         self.braces = brace_region(body)
-        self.leading: str | None = None
-        for child in top_sequence(body):
-            if isinstance(child, Keyword):
-                self.leading = None if is_brace(child) else child.text
-            if isinstance(child, (Keyword, Assignment, Group)):
-                break
 
 
 def _separator(group: Group) -> str | None:

@@ -84,6 +84,29 @@ MUTANTS = (
         ("tests/test_extract.py::test_drawn_terminators_are_read_where_they_are_added",),
     ),
     Mutant(
+        "extract pairs no keywords that only one side has as a rule-wide rename",
+        "extract.py",
+        "    for old, new in zip(src_only, _keywords_missing(dst_index, src_index)):\n"
+        "        add(OpKind.RENAME_KEYWORD, rule_scope(name), {\"from\": old, \"to\": new})\n",
+        "",
+        ("tests/test_extract.py::test_a_renamed_keyword_replays_on_an_evolved_rule[across-attributes]",),
+    ),
+    Mutant(
+        "extract renames no keyword terminal of an attribute",
+        "extract.py",
+        "            if kinds == (Keyword, Keyword) and s_term.text != d_term.text:\n"
+        "                add(OpKind.RENAME_KEYWORD, scope, {\"from\": s_term.text, \"to\": d_term.text})\n",
+        "",
+        ("tests/test_extract.py::test_a_renamed_keyword_replays_on_an_evolved_rule[keyword-terminal]",),
+    ),
+    Mutant(
+        "extract counts the target's repetition separators as keywords only it has",
+        "extract.py",
+        "_keywords_missing(dst_index, src_index)",
+        "sorted(set(dst_index.keywords) - set(src_index.keywords), key=dst_index.keywords.index)",
+        ("tests/test_extract.py::test_a_new_separator_is_not_paired_with_a_renamed_keyword",),
+    ),
+    Mutant(
         "the signature scan does not count the mark right after an assignment's terminal",
         "evaluate.py",
         'elif token == "?" or token == "*" or token == "+":',

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from corpus import (
     FIXTURES,
     PAIRS,
+    _mutation_candidates,
+    apply_single,
+    corpus_grammars,
     corpus_pairs,
     grammar_body_tokens,
     load_grammar,
@@ -219,6 +222,104 @@ def test_a_terminator_added_to_any_fixture_rule_needs_no_fallback():
                 result = extract_config(Grammar(rules=(rule,)), Grammar(rules=(applied,)))
                 assert result.fallback_count == 0, rule.name
     assert matched == 35
+
+
+#: The single-op pairs that still fall back: ADD_TERMINATOR where the
+#: terminator is already there, so that extract reads the same terminators
+#: on both sides.
+_SINGLE_OP_FALLBACKS = [
+    ("mission_target", "ADD_TERMINATOR(text=';') @ attribute Mission.category"),
+    ("mission_target", "ADD_TERMINATOR(text=';') @ attribute Mission.uuid"),
+    ("mission_target", "ADD_TERMINATOR(text=';') @ attribute Mission.name"),
+    ("vehiclefeature_target",
+     "ADD_TERMINATOR(text=';') @ attribute VehicleFeature.isDesignVariabilityRationale"),
+    ("vehiclefeature_target", "ADD_TERMINATOR(text=';') @ attribute VehicleFeature.name"),
+]
+
+
+def test_single_catalog_ops_on_the_corpus_are_read_back():
+    """For every corpus grammar and every mutation op that changes it,
+    extract finds catalog ops for the edit, except in the listed pairs, and
+    the round trip holds."""
+    pairs, fallbacks = 0, []
+    for name, grammar in corpus_grammars():
+        for op in _mutation_candidates(grammar):
+            mutated, matched = apply_single(op, grammar)
+            if not matched or mutated == grammar:
+                continue
+            pairs += 1
+            result = extract_config(grammar, mutated)
+            if result.fallback_count:
+                fallbacks.append((name, op.describe()))
+            adapted, _ = apply_config(result.config, grammar)
+            assert grammar_body_tokens(adapted) == grammar_body_tokens(mutated), (name, op)
+    assert pairs == 378
+    assert fallbacks == _SINGLE_OP_FALLBACKS
+
+
+#: (G1, G1', G2, expected G2', the one entry extracted) per rename shape:
+#: the attribute's own keyword terminal, a non-leading keyword that several
+#: attributes share, and an enum literal.
+_RENAMES = {
+    "keyword-terminal": (
+        "A: 'A' name=ID (unique?='unique')?;",
+        "A: 'A' name=ID (unique?='isUnique')?;",
+        "A: 'A' name=ID (unique?='unique')? ('extra' extra=ID)?;",
+        "A: 'A' name=ID (unique?='isUnique')? ('extra' extra=ID)?;",
+        "RENAME_KEYWORD(from='unique', to='isUnique') @ attribute A.unique",
+    ),
+    "across-attributes": (
+        "M: 'M' '{' ('a' a=ID ';')? ('b' b=ID ';')? '}';",
+        "M: 'M' '{' ('a' a=ID 'extends')? ('b' b=ID 'extends')? '}';",
+        "M: 'M' '{' ('a' a=ID ';')? ('b' b=ID ';')? ('extra' extra=ID ';')? '}';",
+        "M: 'M' '{' ('a' a=ID 'extends')? ('b' b=ID 'extends')? ('extra' extra=ID 'extends')? '}';",
+        "RENAME_KEYWORD(from=';', to='extends') @ rule M",
+    ),
+    "enum-literal": (
+        "enum E: directed='->' | undirected='--';",
+        "enum E: directed='=>' | undirected='--';",
+        "enum E: directed='->' | undirected='--' | extra='<>';",
+        "enum E: directed='=>' | undirected='--' | extra='<>';",
+        "RENAME_KEYWORD(from='->', to='=>') @ attribute E.directed",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", _RENAMES)
+def test_a_renamed_keyword_replays_on_an_evolved_rule(shape):
+    """A keyword rename is one catalog op, not a fallback, so its replay
+    keeps what the evolution added, without a warning."""
+    *texts, entry = _RENAMES[shape]
+    g1, g1prime, g2, expected = (parse_grammar(text) for text in texts)
+    result = extract_config(g1, g1prime)
+    assert result.fallback_count == 0
+    assert [op.describe() for op in result.config.entries] == [entry]
+    adapted, report = apply_config(result.config, g2)
+    assert grammar_body_tokens(adapted) == grammar_body_tokens(expected)
+    assert report.warnings == []
+
+
+def test_a_changed_separator_stays_a_separator_change():
+    """The separator ``','`` -> ``';'`` is a keyword only one side has, but
+    repetition separators are CHANGE_SEPARATOR's, not a rule rename's."""
+    g1, g1prime = load_pair("nodelist")
+    result = extract_config(g1, g1prime)
+    assert [entry.describe() for entry in result.config.entries] == [
+        "CHANGE_SEPARATOR(from=',', to=';') @ attribute NodeList.nodes"
+    ]
+
+
+def test_a_new_separator_is_not_paired_with_a_renamed_keyword():
+    """The target's new separator comes first in pre-order among its own
+    keywords; excluding it leaves ``'done'`` to pair with ``'end'``."""
+    g1 = parse_grammar("NodeList: 'NodeList' '{' ('nodes' nodes+=Node (',' nodes+=Node)*)? '}' 'end';")
+    g1prime = parse_grammar("NodeList: 'NodeList' '{' ('nodes' nodes+=Node (';' nodes+=Node)*)? '}' 'done';")
+    result = extract_config(g1, g1prime)
+    assert result.fallback_count == 0
+    assert [entry.describe() for entry in result.config.entries] == [
+        "RENAME_KEYWORD(from='end', to='done') @ rule NodeList",
+        "CHANGE_SEPARATOR(from=',', to=';') @ attribute NodeList.nodes",
+    ]
 
 
 @pytest.mark.parametrize("name,expressible", PAIRS)

@@ -1,8 +1,8 @@
 """``RuleIndex`` against the per-rule helpers it replaced.
 
 ``_ref_paths`` (each feature's paths from ``assignments_of``),
-``_ref_keyword_texts``, ``_ref_separators``, ``_ref_leading_keyword`` and
-``_ref_braces`` are the extractor's rule facts before the index,
+``_ref_keyword_texts``, ``_ref_separators`` and ``_ref_braces`` are the
+extractor's rule facts before the index,
 ``_ref_feature_context`` is its walk of each shared feature's anchor region
 (with the terminators read at ADD_TERMINATOR's slots, written out),
 and ``_ref_feature_anchors`` (in ``test_rewrite``) is the anchor walk;
@@ -65,15 +65,6 @@ def _body_children(rule: ParserRule):
     body = rule.body
     plain = isinstance(body, Group) and body.cardinality is Cardinality.ONE and not body.predicated
     return body.children if plain else (body,)
-
-
-def _ref_leading_keyword(rule: ParserRule) -> str | None:
-    for child in _body_children(rule):
-        if isinstance(child, Keyword):
-            return None if is_brace(child) else child.text
-        if isinstance(child, (Assignment, Group)):
-            return None
-    return None
 
 
 def _ref_braces(rule: ParserRule) -> tuple[int, bool] | None:
@@ -144,11 +135,11 @@ def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> di
             if isinstance(nxt, Keyword) and not is_brace(nxt):
                 terminators.append(nxt.text)
 
-    calls: list[str | None] = []
+    terminals = []
     for p in paths:
         a = node_at(rule.body, p)
         assert isinstance(a, Assignment)
-        calls.append(a.terminal.rule_name if isinstance(a.terminal, RuleCall) else None)
+        terminals.append(a.terminal)
 
     before_braces = True
     if index.braces is not None and first:
@@ -160,7 +151,7 @@ def _ref_feature_context(rule: ParserRule, index: RuleIndex, feature: str) -> di
         separator=separator,
         has_repetition=has_repetition,
         terminators=tuple(terminators),
-        terminal_calls=tuple(calls),
+        terminals=tuple(terminals),
         before_braces=before_braces,
     )
 
@@ -178,7 +169,7 @@ def _feature_facts(rule: ParserRule, index: RuleIndex, feature: str) -> dict:
         separator=index.repeats.get(anchor),
         has_repetition=anchor in index.repeats,
         terminators=tuple(_terminators(rule, index, feature)),
-        terminal_calls=tuple(index.calls[feature]),
+        terminals=tuple(index.terminals[feature]),
         before_braces=_before_braces(index, feature),
     )
 
@@ -190,8 +181,7 @@ def _assert_indexed(rule: ParserRule) -> None:
     assert index.keywords == _ref_keyword_texts(rule), rule
     assert index.separators == _ref_separators(rule), rule
     assert index.braces == _ref_braces(rule), rule
-    assert index.leading == _ref_leading_keyword(rule), rule
-    assert list(index.keyword_before) == list(index.calls) == list(index.paths), rule
+    assert list(index.keyword_before) == list(index.terminals) == list(index.paths), rule
     for feature in index.paths:
         expected = _ref_feature_context(rule, index, feature)
         assert _feature_facts(rule, index, feature) == expected, (feature, rule)
